@@ -50,25 +50,13 @@ class MipProblem:
             raise MalformedProblemError("variable names must be non-empty")
         if len(set(names)) != n:
             raise MalformedProblemError("variable names must be unique")
-        # Binary variables are clamped into [0, 1] at construction.
-        bounds = list(self.base.bounds)
-        changed = False
-        for i, kind in enumerate(kinds):
-            if kind is VarKind.BINARY:
-                lo, hi = bounds[i]
-                clamped = (max(lo, 0.0), min(hi, 1.0))
-                if clamped != (lo, hi):
-                    bounds[i] = clamped
-                    changed = True
-        if changed:
-            base = LinearProgram(
-                objective=self.base.objective,
-                eq_rows=self.base.eq_rows,
-                ub_rows=self.base.ub_rows,
-                bounds=tuple(bounds),
-                direction=self.base.direction,
-            )
-            object.__setattr__(self, "base", base)
+        # Binary variables are clamped into [0, 1] here, and only here.
+        base = self.base
+        binary = np.array([kind is VarKind.BINARY for kind in kinds], dtype=bool)
+        lo = np.where(binary, np.maximum(base.lo, 0.0), base.lo)
+        hi = np.where(binary, np.minimum(base.hi, 1.0), base.hi)
+        if not (np.array_equal(lo, base.lo) and np.array_equal(hi, base.hi)):
+            object.__setattr__(self, "base", base.with_bounds(lo, hi))
         object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "names", names)
 
@@ -87,6 +75,7 @@ class MipOutcome:
     objective_value: float | None = None
     nodes_explored: int = 0
     best_bound: float = math.nan
+    iterations: int = 0  # simplex pivots summed over every node LP
 
 
 @dataclass(frozen=True)
@@ -127,106 +116,90 @@ def branch(node_relaxation: LpOutcome, mip: MipProblem, tol: float = 1e-6):
     )
 
 
-def _relaxation(mip: MipProblem, bounds: tuple) -> LinearProgram:
-    base = mip.base
-    return LinearProgram(
-        objective=base.objective,
-        eq_rows=base.eq_rows,
-        ub_rows=base.ub_rows,
-        bounds=bounds,
-        direction="min",
-    )
-
-
 def solve_mip(mip: MipProblem, limits: SolveLimits | None = None) -> MipOutcome:
     """Exact best-bound branch-and-bound over the LP relaxation tree.
+
+    Every node LP is `mip.base` with the node's bounds. A node LP that ends
+    unresolved (ITERATION_LIMIT or NUMERICAL) leaves its subtree open: the
+    search goes on, and the solve ends with that status instead of OPTIMAL or
+    INFEASIBLE, with best_bound no higher than the open subtree's bound.
 
     When the optimum is not unique, one optimal solution is returned: the
     basic solution of the node LP where it was found, with integer variables
     snapped. Which of the tied optima that is stays unspecified.
     """
     limits = limits or SolveLimits()
-    sign = -1.0 if mip.base.direction == "max" else 1.0
-    # Work in minimization sense; flip the reported objective at the end.
-    work = MipProblem(
-        base=LinearProgram(
-            objective=tuple(sign * c for c in mip.base.objective),
-            eq_rows=mip.base.eq_rows,
-            ub_rows=mip.base.ub_rows,
-            bounds=mip.base.bounds,
-            direction="min",
-        ),
-        kinds=mip.kinds,
-        names=mip.names,
-    )
+    base = mip.base
+    # Node values are compared in minimization sense; sign flips them back.
+    sign = -1.0 if base.direction == "max" else 1.0
     tol = limits.integrality_tol
 
-    root = solve_lp(_relaxation(work, work.base.bounds), limits)
+    root = solve_lp(base, limits)
     nodes = 1
-    if root.status is Status.INFEASIBLE:
-        return MipOutcome(status=Status.INFEASIBLE, nodes_explored=nodes)
-    if root.status is Status.UNBOUNDED:
-        return MipOutcome(status=Status.UNBOUNDED, nodes_explored=nodes)
+    iterations = root.iterations
     if root.status is not Status.OPTIMAL:
-        return MipOutcome(status=root.status, nodes_explored=nodes)
+        return MipOutcome(status=root.status, nodes_explored=nodes, iterations=iterations)
 
     incumbent = None
     incumbent_obj = math.inf
     counter = 0
     heap: list[tuple] = []
 
-    def consider(outcome: LpOutcome, bounds: tuple) -> None:
+    def consider(outcome: LpOutcome, lo: np.ndarray, hi: np.ndarray) -> None:
         nonlocal incumbent, incumbent_obj, counter
-        decision = branch(outcome, work, tol)
+        value = sign * outcome.objective_value
+        decision = branch(outcome, mip, tol)
         if decision is None:
-            if outcome.objective_value < incumbent_obj - 1e-9:
+            if value < incumbent_obj - 1e-9:
                 incumbent = outcome.x.copy()
-                incumbent_obj = outcome.objective_value
+                incumbent_obj = value
             return
         i = decision.index
-        lo, hi = bounds[i]
-        down = list(bounds)
-        down[i] = (lo, decision.floor_value)
-        up = list(bounds)
-        up[i] = (decision.ceil_value, hi)
-        for child in (tuple(down), tuple(up)):
+        down_hi = hi.copy()
+        down_hi[i] = decision.floor_value
+        up_lo = lo.copy()
+        up_lo[i] = decision.ceil_value
+        for child_lo, child_hi in ((lo, down_hi), (up_lo, hi)):
             counter += 1
-            heapq.heappush(heap, (outcome.objective_value, counter, child))
+            heapq.heappush(heap, (value, counter, child_lo, child_hi))
 
-    consider(root, work.base.bounds)
-    best_bound = root.objective_value
-    hit_node_limit = False
+    consider(root, base.lo, base.hi)
+    unresolved = None  # status of the first node the search could not settle
+    open_bound = math.inf  # lowest bound of a subtree left open
     while heap:
-        bound, _, bounds = heapq.heappop(heap)
-        best_bound = bound
+        bound, _, lo, hi = heapq.heappop(heap)
         if bound >= incumbent_obj - 1e-9:
             continue  # pruned by the incumbent
         if nodes >= limits.max_nodes:
-            hit_node_limit = True
+            unresolved = unresolved or Status.ITERATION_LIMIT
+            open_bound = min(open_bound, bound)
             break
-        outcome = solve_lp(_relaxation(work, bounds), limits)
+        outcome = solve_lp(base.with_bounds(lo, hi), limits)
         nodes += 1
+        iterations += outcome.iterations
+        if outcome.status in (Status.ITERATION_LIMIT, Status.NUMERICAL):
+            unresolved = unresolved or outcome.status
+            open_bound = min(open_bound, bound)
+            continue
         if outcome.status is not Status.OPTIMAL:
             continue  # infeasible subproblem (unbounded cannot appear below a bounded root)
-        if outcome.objective_value >= incumbent_obj - 1e-9:
+        if sign * outcome.objective_value >= incumbent_obj - 1e-9:
             continue
-        consider(outcome, bounds)
+        consider(outcome, lo, hi)
 
     if incumbent is None:
-        if hit_node_limit:
-            return MipOutcome(status=Status.ITERATION_LIMIT, nodes_explored=nodes)
-        return MipOutcome(status=Status.INFEASIBLE, nodes_explored=nodes)
-    status = Status.ITERATION_LIMIT if hit_node_limit else Status.OPTIMAL
+        return MipOutcome(
+            status=unresolved or Status.INFEASIBLE, nodes_explored=nodes, iterations=iterations
+        )
     x = incumbent
     # Snap near-integral values so callers see clean integers.
-    for i in work.integer_indices():
+    for i in mip.integer_indices():
         x[i] = round(x[i])
-    obj = float(np.asarray(mip.base.objective) @ x)
-    final_bound = min(best_bound, incumbent_obj) if hit_node_limit else incumbent_obj
     return MipOutcome(
-        status=status,
+        status=unresolved or Status.OPTIMAL,
         x=x,
-        objective_value=obj,
+        objective_value=float(base.c @ x),
         nodes_explored=nodes,
-        best_bound=sign * final_bound,
+        best_bound=sign * min(incumbent_obj, open_bound),
+        iterations=iterations,
     )

@@ -17,7 +17,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
 
 from . import models, pft as pft_mod, spatial
 from .branch_bound import MipProblem, MipOutcome, solve_mip
@@ -95,11 +94,9 @@ def _report(mip: MipProblem, outcome: MipOutcome, wall: float | None) -> RunRepo
         ]
         objective = float(outcome.objective_value)
         base = mip.base
-        for j, (coeffs, rhs) in enumerate(base.eq_rows):
-            lhs = float(np.dot(coeffs, x))
+        for j, (lhs, rhs) in enumerate(zip((base.A_eq @ x).tolist(), base.b_eq.tolist())):
             con_lines.append(f"eq[{j}]: {_num(lhs)} = {_num(rhs)}")
-        for j, (coeffs, rhs) in enumerate(base.ub_rows):
-            lhs = float(np.dot(coeffs, x))
+        for j, (lhs, rhs) in enumerate(zip((base.A_ub @ x).tolist(), base.b_ub.tolist())):
             con_lines.append(f"ub[{j}]: {_num(lhs)} <= {_num(rhs)}")
     return RunReport(
         status_text=_STATUS_TEXT[outcome.status],
@@ -107,7 +104,7 @@ def _report(mip: MipProblem, outcome: MipOutcome, wall: float | None) -> RunRepo
         nonzero=nonzero,
         constraint_lines=con_lines,
         nodes=outcome.nodes_explored,
-        iterations=0,
+        iterations=outcome.iterations,
         wall_time_s=wall,
     )
 

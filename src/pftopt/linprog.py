@@ -27,6 +27,7 @@ __all__ = [
     "LinearProgram",
     "LpOutcome",
     "MalformedProblemError",
+    "split_senses",
     "to_standard_form",
     "solve_lp",
 ]
@@ -46,6 +47,13 @@ class Status(enum.IntEnum):
 
 @dataclass(frozen=True)
 class SolveLimits:
+    """Caps and tolerances of a solve.
+
+    max_iterations caps the simplex pivots of each LP solve (phase 1 and
+    phase 2 together); in branch and bound every node LP gets the full cap.
+    max_nodes caps the node LPs of one branch-and-bound search.
+    """
+
     max_iterations: int = 20000
     max_nodes: int = 200000
     feasibility_tol: float = 1e-7
@@ -66,58 +74,143 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """Continuous problem in standard form.
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy, so no caller can change a problem after its checks."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
-    eq_rows and ub_rows are sequences of (coefficient vector, rhs); bounds is
-    one (lower, upper) pair per variable where -inf/+inf mark free sides.
+
+def _checked_block(A, b, n: int, label: str) -> tuple:
+    """(A, b) of one row family as read-only arrays, m x n and length m."""
+    A = _frozen(np.zeros((0, n)) if A is None else A)
+    b = _frozen(np.zeros(0) if b is None else b)
+    if A.ndim != 2 or A.shape[1] != n or b.shape != (A.shape[0],):
+        raise MalformedProblemError(f"{label} rows must be an m x {n} array with m rhs values")
+    if not np.all(np.isfinite(A)):
+        raise MalformedProblemError(f"{label} row has non-finite coefficients")
+    if not np.all(np.isfinite(b)):
+        raise MalformedProblemError("constraint rhs must be finite")
+    return A, b
+
+
+def _checked_bounds(lo, hi, n: int) -> tuple:
+    lo, hi = _frozen(lo), _frozen(hi)
+    if lo.shape != (n,) or hi.shape != (n,):
+        raise MalformedProblemError("bounds length must equal variable count")
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise MalformedProblemError("bounds must not be NaN")
+    crossed = np.flatnonzero(lo > hi)
+    if crossed.size:
+        k = crossed[0]
+        raise MalformedProblemError(f"lower bound {lo[k]} exceeds upper bound {hi[k]}")
+    return lo, hi
+
+
+def _row_block(rows, n: int, label: str) -> tuple:
+    """(A, b) from a sequence of (coefficient vector, rhs) pairs."""
+    rows = list(rows)
+    coeffs = [_as_vector(a, f"{label} row") for a, _ in rows]
+    for a in coeffs:
+        if a.size != n:
+            raise MalformedProblemError(f"{label} row has {a.size} coefficients, expected {n}")
+    return np.array(coeffs).reshape(len(coeffs), n), [float(rhs) for _, rhs in rows]
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class LinearProgram:
+    """Continuous problem in standard form, held as read-only numpy arrays.
+
+    c is the objective, A_eq x = b_eq and A_ub x <= b_ub the rows, and
+    lo <= x <= hi the bounds, where -inf/+inf mark free sides and the default
+    is [0, inf). The arrays are checked once, when the problem is made;
+    `with_bounds` shares them.
+
+    The keyword constructor takes the tuple form: eq_rows and ub_rows as
+    sequences of (coefficient vector, rhs), bounds as one (lower, upper) pair
+    per variable. The properties objective, eq_rows, ub_rows and bounds give
+    that form back, computed when read.
     """
 
-    objective: tuple
-    eq_rows: tuple = ()
-    ub_rows: tuple = ()
-    bounds: tuple = ()
-    direction: str = "min"
+    c: np.ndarray
+    A_eq: np.ndarray
+    b_eq: np.ndarray
+    A_ub: np.ndarray
+    b_ub: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    direction: str
 
-    def __post_init__(self) -> None:
-        c = _as_vector(self.objective, "objective")
+    def __init__(self, objective, eq_rows=(), ub_rows=(), bounds=(), direction="min"):
+        n = _as_vector(objective, "objective").size
+        lo, hi = zip(*bounds) if bounds else (None, None)
+        self._store(
+            objective,
+            *_row_block(eq_rows, n, "equality"),
+            *_row_block(ub_rows, n, "inequality"),
+            lo,
+            hi,
+            direction,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, lo=None, hi=None, direction="min"
+    ) -> "LinearProgram":
+        """The problem from dense arrays, each copied; absent rows are empty."""
+        lp = object.__new__(cls)
+        lp._store(c, A_eq, b_eq, A_ub, b_ub, lo, hi, direction)
+        return lp
+
+    def _store(self, c, A_eq, b_eq, A_ub, b_ub, lo, hi, direction) -> None:
+        c = _frozen(_as_vector(c, "objective"))
         if c.size == 0:
             raise MalformedProblemError("problem has no variables")
         if not np.all(np.isfinite(c)):
             raise MalformedProblemError("objective coefficients must be finite")
         n = c.size
-        eq = tuple((_as_vector(a, "eq row"), float(rhs)) for a, rhs in self.eq_rows)
-        ub = tuple((_as_vector(a, "ub row"), float(rhs)) for a, rhs in self.ub_rows)
-        for rows, label in ((eq, "equality"), (ub, "inequality")):
-            for a, rhs in rows:
-                if a.size != n:
-                    raise MalformedProblemError(
-                        f"{label} row has {a.size} coefficients, expected {n}"
-                    )
-                if not np.all(np.isfinite(a)):
-                    raise MalformedProblemError(f"{label} row has non-finite coefficients")
-                if not math.isfinite(rhs):
-                    raise MalformedProblemError("constraint rhs must be finite")
-        bounds = self.bounds if self.bounds else tuple((0.0, math.inf) for _ in range(n))
-        bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-        if len(bounds) != n:
-            raise MalformedProblemError("bounds length must equal variable count")
-        for lo, hi in bounds:
-            if math.isnan(lo) or math.isnan(hi):
-                raise MalformedProblemError("bounds must not be NaN")
-            if lo > hi:
-                raise MalformedProblemError(f"lower bound {lo} exceeds upper bound {hi}")
-        if self.direction not in ("min", "max"):
-            raise MalformedProblemError(f"unknown direction {self.direction!r}")
-        object.__setattr__(self, "objective", tuple(c))
-        object.__setattr__(self, "eq_rows", tuple((tuple(a), rhs) for a, rhs in eq))
-        object.__setattr__(self, "ub_rows", tuple((tuple(a), rhs) for a, rhs in ub))
-        object.__setattr__(self, "bounds", bounds)
+        A_eq, b_eq = _checked_block(A_eq, b_eq, n, "equality")
+        A_ub, b_ub = _checked_block(A_ub, b_ub, n, "inequality")
+        lo, hi = _checked_bounds(
+            np.zeros(n) if lo is None else lo, np.full(n, math.inf) if hi is None else hi, n
+        )
+        if direction not in ("min", "max"):
+            raise MalformedProblemError(f"unknown direction {direction!r}")
+        for name, value in zip(
+            ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi", "direction"),
+            (c, A_eq, b_eq, A_ub, b_ub, lo, hi, direction),
+        ):
+            object.__setattr__(self, name, value)
+
+    def with_bounds(self, lo, hi) -> "LinearProgram":
+        """The same problem with new bounds. Objective and rows are shared,
+        not copied; only the new bounds are checked."""
+        lp = object.__new__(type(self))
+        lp.__dict__.update(self.__dict__)
+        lo, hi = _checked_bounds(lo, hi, self.num_vars)
+        object.__setattr__(lp, "lo", lo)
+        object.__setattr__(lp, "hi", hi)
+        return lp
 
     @property
     def num_vars(self) -> int:
-        return len(self.objective)
+        return self.c.size
+
+    @property
+    def objective(self) -> tuple:
+        return tuple(self.c.tolist())
+
+    @property
+    def eq_rows(self) -> tuple:
+        return tuple(zip(map(tuple, self.A_eq.tolist()), self.b_eq.tolist()))
+
+    @property
+    def ub_rows(self) -> tuple:
+        return tuple(zip(map(tuple, self.A_ub.tolist()), self.b_ub.tolist()))
+
+    @property
+    def bounds(self) -> tuple:
+        return tuple(zip(self.lo.tolist(), self.hi.tolist()))
 
 
 @dataclass(frozen=True)
@@ -133,29 +226,39 @@ class LpOutcome:
 _SENSE_FLIP = {"le": 1.0, "ge": -1.0}
 
 
+def split_senses(A, senses, b) -> tuple:
+    """Split the rows A x (sense) b into (A_eq, b_eq, A_ub, b_ub).
+
+    ">=" rows are negated into "<=" form; row order within each block follows
+    input order.
+    """
+    senses = list(senses)
+    for sense in senses:
+        if sense != "eq" and sense not in _SENSE_FLIP:
+            raise MalformedProblemError(f"unknown constraint sense {sense!r}")
+    eq = np.array([sense == "eq" for sense in senses], dtype=bool)
+    flip = np.array([_SENSE_FLIP.get(sense, 1.0) for sense in senses])[~eq]
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    return A[eq], b[eq], flip[:, None] * A[~eq], flip * b[~eq]
+
+
 def to_standard_form(rows):
-    """Split (coeffs, sense, rhs) rows into (eq_rows, ub_rows).
+    """Split (coeffs, sense, rhs) rows into (eq_rows, ub_rows) in the tuple form.
 
     ">=" rows are negated into "<=" form; row order within each output list
     follows input order.
     """
-    eq_rows: list[tuple] = []
-    ub_rows: list[tuple] = []
-    width = None
-    for coeffs, sense, rhs in rows:
-        a = _as_vector(coeffs, "constraint row")
-        if width is None:
-            width = a.size
-        elif a.size != width:
-            raise MalformedProblemError("constraint rows have inconsistent widths")
-        if sense == "eq":
-            eq_rows.append((tuple(a), float(rhs)))
-        elif sense in _SENSE_FLIP:
-            s = _SENSE_FLIP[sense]
-            ub_rows.append((tuple(s * a), s * float(rhs)))
-        else:
-            raise MalformedProblemError(f"unknown constraint sense {sense!r}")
-    return eq_rows, ub_rows
+    rows = list(rows)
+    coeffs = [_as_vector(a, "constraint row") for a, _, _ in rows]
+    if len({a.size for a in coeffs}) > 1:
+        raise MalformedProblemError("constraint rows have inconsistent widths")
+    A = np.array(coeffs).reshape(len(rows), coeffs[0].size if coeffs else 0)
+    b = [float(rhs) for _, _, rhs in rows]
+    A_eq, b_eq, A_ub, b_ub = split_senses(A, [sense for _, sense, _ in rows], b)
+    return (
+        [(tuple(a), float(rhs)) for a, rhs in zip(A_eq, b_eq)],
+        [(tuple(a), float(rhs)) for a, rhs in zip(A_ub, b_ub)],
+    )
 
 
 # Nonbasic variable rests at one of its bounds (or at zero when free).
@@ -172,7 +275,7 @@ class _Singular(Exception):
     pass
 
 
-def _price(A, c, basis, nonbasic, status):
+def _price(A, c, basis, nonbasic):
     """Reduced costs of the nonbasic columns for the current basis."""
     B = A[:, basis]
     try:
@@ -197,16 +300,15 @@ def _run_simplex(A, b, c, lo, hi, basis, status, x, limits, iteration, stall_aft
     stall = 0
     last_obj = math.inf
     while iteration < limits.max_iterations:
-        nonbasic = np.array([j for j in range(n_total) if j not in set(basis)], dtype=int)
-        try:
-            d = _price(A, c, basis, nonbasic, status)
-        except _Singular:
-            raise
+        in_basis = np.zeros(n_total, dtype=bool)
+        in_basis[basis] = True
+        nonbasic = np.flatnonzero(~in_basis)
+        d = _price(A, c, basis, nonbasic)
         # Entering candidates: at-lower (or free) columns want d < 0, at-upper
         # columns want d > 0. Fixed columns (lo == hi) never enter.
         gaps = hi[nonbasic] - lo[nonbasic]
-        at_lower = np.array([status[j] != _AT_UPPER for j in nonbasic])
-        is_free = np.array([status[j] == _FREE for j in nonbasic])
+        at_lower = status[nonbasic] != _AT_UPPER
+        is_free = status[nonbasic] == _FREE
         viol = np.where(is_free, np.abs(d), np.where(at_lower, -d, d))
         viol[gaps <= 0] = -math.inf
         eligible = np.nonzero(viol > opt_tol)[0]
@@ -370,36 +472,28 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     limits = limits or SolveLimits()
     n = lp.num_vars
     sign = -1.0 if lp.direction == "max" else 1.0
-    c = sign * np.asarray(lp.objective)
-    A_eq = np.array([a for a, _ in lp.eq_rows], dtype=float).reshape(len(lp.eq_rows), n)
-    b_eq = np.array([rhs for _, rhs in lp.eq_rows], dtype=float)
-    A_ub = np.array([a for a, _ in lp.ub_rows], dtype=float).reshape(len(lp.ub_rows), n)
-    b_ub = np.array([rhs for _, rhs in lp.ub_rows], dtype=float)
-    m_eq, m_ub = A_eq.shape[0], A_ub.shape[0]
+    m_eq, m_ub = lp.b_eq.size, lp.b_ub.size
 
     # Slack per inequality row turns the system into equalities.
     A = np.zeros((m_eq + m_ub, n + m_ub))
-    A[:m_eq, :n] = A_eq
-    A[m_eq:, :n] = A_ub
+    A[:m_eq, :n] = lp.A_eq
+    A[m_eq:, :n] = lp.A_ub
     A[m_eq:, n:] = np.eye(m_ub)
-    b = np.concatenate([b_eq, b_ub])
-    lo = np.array([lo for lo, _ in lp.bounds] + [0.0] * m_ub)
-    hi = np.array([hi for _, hi in lp.bounds] + [math.inf] * m_ub)
-    c_full = np.concatenate([c, np.zeros(m_ub)])
+    b = np.concatenate([lp.b_eq, lp.b_ub])
+    lo = np.concatenate([lp.lo, np.zeros(m_ub)])
+    hi = np.concatenate([lp.hi, np.full(m_ub, math.inf)])
+    c_full = np.concatenate([sign * lp.c, np.zeros(m_ub)])
 
     slack_of = {m_eq + i: n + i for i in range(m_ub)}
     status, x_full, iters = _solve_bounded(A, b, c_full, lo, hi, limits, slack_of)
     if status is not Status.OPTIMAL:
         return LpOutcome(status=status, iterations=iters)
     x = x_full[:n]
-    eq_residuals = A_eq @ x - b_eq if m_eq else np.zeros(0)
-    ub_slacks = b_ub - A_ub @ x if m_ub else np.zeros(0)
-    objective = float(np.asarray(lp.objective) @ x)
     return LpOutcome(
         status=Status.OPTIMAL,
         x=x,
-        objective_value=objective,
+        objective_value=float(lp.c @ x),
         iterations=iters,
-        eq_residuals=eq_residuals,
-        ub_slacks=ub_slacks,
+        eq_residuals=lp.A_eq @ x - lp.b_eq,
+        ub_slacks=lp.b_ub - lp.A_ub @ x,
     )

@@ -2,9 +2,13 @@
 into solvable mixed-integer problems.
 
 Each builder is a pure function returning a MipProblem; nothing here touches
-the solver. Variable naming follows the conventions of the underlying
-formulations (arc variables "X<i>_<j>", assignment variables "Y<i>_<j>",
-placement variables "X<j>").
+the solver. A builder fills dense numpy blocks (objective, equality rows,
+<= rows, bounds) and hands them to `LinearProgram.from_arrays`, which checks
+them once. Bounds default to [0, inf); builders state only other bounds, and
+`MipProblem` clamps binary variables into [0, 1]. Variable names concatenate
+the ids of the underlying formulations (arc variables "X<i><j>", assignment
+variables "Y<i><j>", placement variables "X<j>"), so multi-digit ids can
+collide.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 
 from .branch_bound import MipProblem, VarKind
-from .linprog import LinearProgram, to_standard_form
+from .linprog import LinearProgram
 
 __all__ = [
     "InputError",
@@ -152,16 +157,15 @@ class PathSet:
         return PathSet(source=self.source, sink=self.sink, paths=self.paths, flow=tuple(flows))
 
 
-def _mip(objective, rows, bounds, kinds, names, direction) -> MipProblem:
-    eq_rows, ub_rows = to_standard_form(rows)
-    base = LinearProgram(
-        objective=tuple(objective),
-        eq_rows=eq_rows,
-        ub_rows=ub_rows,
-        bounds=tuple(bounds),
-        direction=direction,
-    )
-    return MipProblem(base=base, kinds=tuple(kinds), names=tuple(names))
+def _incidence(net: Network) -> np.ndarray:
+    """Node-arc incidence, one row per node in node_ids order: +1 where an
+    arc enters the node, -1 where it leaves."""
+    row = {node: k for k, node in enumerate(net.node_ids)}
+    inc = np.zeros((len(net.node_ids), len(net.arcs)))
+    for idx, (tail, head, _, _) in enumerate(net.arcs):
+        inc[row[head], idx] = 1.0
+        inc[row[tail], idx] = -1.0
+    return inc
 
 
 def build_shortest_path(net: Network, s, t) -> MipProblem:
@@ -172,32 +176,19 @@ def build_shortest_path(net: Network, s, t) -> MipProblem:
     if s not in net.node_ids or t not in net.node_ids:
         raise InputError("source or sink not in network")
     arcs = net.arcs
-    n = len(arcs)
-    rows = []
-    for node in net.node_ids:
-        coeffs = [0.0] * n
-        for idx, (tail, head, _, _) in enumerate(arcs):
-            if head == node:
-                coeffs[idx] += 1.0
-            elif tail == node:
-                coeffs[idx] -= 1.0
-        rhs = -1.0 if node == s else (1.0 if node == t else 0.0)
-        rows.append((coeffs, "eq", rhs))
-    for node in net.node_ids:
-        entering = [idx for idx, (_, head, _, _) in enumerate(arcs) if head == node]
-        if not entering:
-            continue
-        coeffs = [0.0] * n
-        for idx in entering:
-            coeffs[idx] = 1.0
-        rows.append((coeffs, "le", 1.0))
-    return _mip(
-        objective=[w for _, _, w, _ in arcs],
-        rows=rows,
-        bounds=[(0.0, 1.0)] * n,
-        kinds=[VarKind.BINARY] * n,
+    inc = _incidence(net)
+    b_eq = np.zeros(len(net.node_ids))
+    b_eq[net.node_ids.index(s)] = -1.0
+    b_eq[net.node_ids.index(t)] = 1.0
+    entering = inc > 0
+    caps = entering[entering.any(axis=1)].astype(float)
+    base = LinearProgram.from_arrays(
+        [w for _, _, w, _ in arcs], inc, b_eq, caps, np.ones(len(caps))
+    )
+    return MipProblem(
+        base=base,
+        kinds=[VarKind.BINARY] * len(arcs),
         names=[f"X{tail}{head}" for tail, head, _, _ in arcs],
-        direction="min",
     )
 
 
@@ -216,39 +207,35 @@ def build_tour(d: DistanceMatrix) -> MipProblem:
     arc_pairs = _tour_arc_names(n)
     n_arcs = len(arc_pairs)
     n_total = n_arcs + n  # arcs then u_1..u_N
-    arc_idx = {pair: k for k, pair in enumerate(arc_pairs)}
+    arcs = np.arange(n_arcs)
+    tails = np.array([i for i, _ in arc_pairs]) - 1
+    heads = np.array([j for _, j in arc_pairs]) - 1
 
-    rows = []
-    for j in range(1, n + 1):  # entry: exactly one arc into j
-        coeffs = [0.0] * n_total
-        for i in range(1, n + 1):
-            if i != j:
-                coeffs[arc_idx[(i, j)]] = 1.0
-        rows.append((coeffs, "eq", 1.0))
-    for i in range(1, n + 1):  # exit: exactly one arc out of i
-        coeffs = [0.0] * n_total
-        for j in range(1, n + 1):
-            if i != j:
-                coeffs[arc_idx[(i, j)]] = 1.0
-        rows.append((coeffs, "eq", 1.0))
-    for i in range(2, n + 1):  # MTZ: u_i - u_j + N*X_ij <= N - 1
-        for j in range(2, n + 1):
-            if i == j:
-                continue
-            coeffs = [0.0] * n_total
-            coeffs[n_arcs + i - 1] = 1.0
-            coeffs[n_arcs + j - 1] = -1.0
-            coeffs[arc_idx[(i, j)]] = float(n)
-            rows.append((coeffs, "le", float(n - 1)))
+    A_eq = np.zeros((2 * n, n_total))
+    A_eq[heads, arcs] = 1.0  # entry: exactly one arc into j
+    A_eq[n + tails, arcs] = 1.0  # exit: exactly one arc out of i
+    # MTZ: u_i - u_j + N*X_ij <= N - 1 for arcs between cities 2..N, in arc order.
+    inner = arcs[(tails > 0) & (heads > 0)]
+    mtz = np.arange(inner.size)
+    A_ub = np.zeros((inner.size, n_total))
+    A_ub[mtz, n_arcs + tails[inner]] = 1.0
+    A_ub[mtz, n_arcs + heads[inner]] = -1.0
+    A_ub[mtz, inner] = float(n)
 
-    objective = [0.0] * n_total
-    for (i, j), k in arc_idx.items():
-        objective[k] = d.d[i - 1][j - 1]
-    bounds = [(0.0, 1.0)] * n_arcs + [(1.0, 1.0)] + [(2.0, float(n))] * (n - 1)
-    kinds = [VarKind.BINARY] * n_arcs + [VarKind.INTEGER] * n
+    c = np.zeros(n_total)
+    c[:n_arcs] = np.array(d.d)[tails, heads]
+    lo = np.zeros(n_total)
+    hi = np.full(n_total, math.inf)
+    lo[n_arcs], hi[n_arcs] = 1.0, 1.0
+    lo[n_arcs + 1 :], hi[n_arcs + 1 :] = 2.0, float(n)
+    base = LinearProgram.from_arrays(
+        c, A_eq, np.ones(2 * n), A_ub, np.full(inner.size, float(n - 1)), lo, hi
+    )
     names = [f"X{d.from_ids[i - 1]}{d.to_ids[j - 1]}" for i, j in arc_pairs]
     names += [f"U{node}" for node in d.from_ids]
-    return _mip(objective, rows, bounds, kinds, names, "min")
+    return MipProblem(
+        base=base, kinds=[VarKind.BINARY] * n_arcs + [VarKind.INTEGER] * n, names=names
+    )
 
 
 def force_arc(mip: MipProblem, i, j) -> MipProblem:
@@ -256,17 +243,19 @@ def force_arc(mip: MipProblem, i, j) -> MipProblem:
     name = f"X{i}{j}"
     if name not in mip.names:
         raise InputError(f"arc {name} not in model")
-    idx = mip.names.index(name)
-    coeffs = [0.0] * mip.num_vars
-    coeffs[idx] = 1.0
+    pin = np.zeros(mip.num_vars)
+    pin[mip.names.index(name)] = 1.0
     base = mip.base
     return MipProblem(
-        base=LinearProgram(
-            objective=base.objective,
-            eq_rows=base.eq_rows + ((tuple(coeffs), 1.0),),
-            ub_rows=base.ub_rows,
-            bounds=base.bounds,
-            direction=base.direction,
+        base=LinearProgram.from_arrays(
+            base.c,
+            np.vstack([base.A_eq, pin]),
+            np.append(base.b_eq, 1.0),
+            base.A_ub,
+            base.b_ub,
+            base.lo,
+            base.hi,
+            base.direction,
         ),
         kinds=mip.kinds,
         names=mip.names,
@@ -284,21 +273,13 @@ def build_set_cover(adj: AdjacencySet, cost) -> MipProblem:
     if any(c <= 0 for c in cost):
         raise InputError("costs must be positive")
     index = {a: i for i, a in enumerate(areas)}
-    rows = []
-    for area in areas:
-        coeffs = [0.0] * n
-        coeffs[index[area]] = 1.0
-        for nb in adj.neighbors(area):
-            coeffs[index[nb]] = 1.0
-        rows.append((coeffs, "ge", 1.0))
-    return _mip(
-        objective=cost,
-        rows=rows,
-        bounds=[(0.0, 1.0)] * n,
-        kinds=[VarKind.BINARY] * n,
-        names=[f"X{a}" for a in areas],
-        direction="min",
-    )
+    covers = np.eye(n)  # row: the area's closed neighborhood
+    for pair in adj.pairs:
+        a, b = (index[area] for area in pair)
+        covers[a, b] = covers[b, a] = 1.0
+    # covers @ x >= 1, negated into <= form.
+    base = LinearProgram.from_arrays(cost, A_ub=-covers, b_ub=np.full(n, -1.0))
+    return MipProblem(base=base, kinds=[VarKind.BINARY] * n, names=[f"X{a}" for a in areas])
 
 
 def enumerate_st_paths(net: Network, s, t, flows=None) -> PathSet:
@@ -353,24 +334,22 @@ def build_flow_capture(ps: PathSet, candidates, p: int) -> MipProblem:
     n_y = len(ps.paths)
     n = n_x + n_y
     cand_idx = {node: k for k, node in enumerate(candidates)}
-    rows = []
-    coeffs = [1.0] * n_x + [0.0] * n_y
-    rows.append((coeffs, "eq", float(p)))
+    A_eq = np.zeros((1, n))
+    A_eq[0, :n_x] = 1.0  # exactly p placements
+    A_ub = np.zeros((n_y, n))  # Y_r <= placements on path r
+    A_ub[:, n_x:] = np.eye(n_y)
     for r, path in enumerate(ps.paths):
-        coeffs = [0.0] * n
-        coeffs[n_x + r] = 1.0
         for node in path:
             if node in cand_idx:
-                coeffs[cand_idx[node]] = -1.0
-        rows.append((coeffs, "le", 0.0))
-    objective = [0.0] * n_x + list(ps.flow)
-    return _mip(
-        objective=objective,
-        rows=rows,
-        bounds=[(0.0, 1.0)] * n,
+                A_ub[r, cand_idx[node]] = -1.0
+    base = LinearProgram.from_arrays(
+        np.concatenate([np.zeros(n_x), ps.flow]), A_eq, [float(p)], A_ub, np.zeros(n_y),
+        direction="max",
+    )
+    return MipProblem(
+        base=base,
         kinds=[VarKind.BINARY] * n,
         names=[f"X{node}" for node in candidates] + [f"Y{r + 1}" for r in range(n_y)],
-        direction="max",
     )
 
 
@@ -383,26 +362,21 @@ def build_coloring(adj: AdjacencySet, colors: int) -> MipProblem:
     n_areas = len(areas)
     n = n_areas * colors
     index = {a: i for i, a in enumerate(areas)}
-    rows = []
-    for k in range(colors):
-        for pair in sorted(adj.pairs, key=lambda pr: sorted(index[a] for a in pr)):
-            a, b = sorted(pair, key=index.__getitem__)
-            coeffs = [0.0] * n
-            coeffs[k * n_areas + index[a]] = 1.0
-            coeffs[k * n_areas + index[b]] = 1.0
-            rows.append((coeffs, "le", 1.0))
-    for i in range(n_areas):
-        coeffs = [0.0] * n
-        for k in range(colors):
-            coeffs[k * n_areas + i] = 1.0
-        rows.append((coeffs, "eq", 1.0))
-    return _mip(
-        objective=[1.0] * n,
-        rows=rows,
-        bounds=[(0.0, 1.0)] * n,
+    edges = sorted(sorted(index[a] for a in pair) for pair in adj.pairs)
+    ends = np.zeros((len(edges), n_areas))  # row: the two areas of a boundary pair
+    for e, (a, b) in enumerate(edges):
+        ends[e, a] = ends[e, b] = 1.0
+    base = LinearProgram.from_arrays(
+        np.ones(n),
+        np.tile(np.eye(n_areas), colors),  # one color per area
+        np.ones(n_areas),
+        np.kron(np.eye(colors), ends),  # per color: a pair never shares it
+        np.ones(colors * len(edges)),
+    )
+    return MipProblem(
+        base=base,
         kinds=[VarKind.BINARY] * n,
         names=[f"{areas[i]}_{k}" for k in range(colors) for i in range(n_areas)],
-        direction="min",
     )
 
 
@@ -441,41 +415,24 @@ def build_service_coverage(d: DistanceMatrix, p: int) -> MipProblem:
     m_cand = len(d.to_ids)
     if p > m_cand:
         raise InputError("p exceeds the candidate count")
-    n_y = n_demand * m_cand  # stored in candidate-major blocks (j outer, i inner)
+    n_y = n_demand * m_cand  # Y_ij at j * n_demand + i (candidate-major blocks)
     n = n_y + m_cand
 
-    def y_idx(i: int, j: int) -> int:
-        return j * n_demand + i
-
-    rows = []
-    for i in range(n_demand):  # each demand served exactly once
-        coeffs = [0.0] * n
-        for j in range(m_cand):
-            coeffs[y_idx(i, j)] = 1.0
-        rows.append((coeffs, "eq", 1.0))
-    coeffs = [0.0] * n_y + [1.0] * m_cand  # exactly p servers open
-    rows.append((coeffs, "eq", float(p)))
-    for j in range(m_cand):  # linking: Y_ij <= X_j
-        for i in range(n_demand):
-            coeffs = [0.0] * n
-            coeffs[y_idx(i, j)] = 1.0
-            coeffs[n_y + j] = -1.0
-            rows.append((coeffs, "le", 0.0))
-    objective = [0.0] * n
-    for j in range(m_cand):
-        for i in range(n_demand):
-            objective[y_idx(i, j)] = d.d[i][j]
+    A_eq = np.zeros((n_demand + 1, n))
+    A_eq[:n_demand, :n_y] = np.tile(np.eye(n_demand), m_cand)  # each demand served once
+    A_eq[n_demand, n_y:] = 1.0  # exactly p servers open
+    A_ub = np.zeros((n_y, n))  # linking: Y_ij <= X_j, in Y order
+    A_ub[:, :n_y] = np.eye(n_y)
+    A_ub[np.arange(n_y), n_y + np.arange(n_y) // n_demand] = -1.0
+    c = np.zeros(n)
+    c[:n_y] = np.array(d.d).T.ravel()
+    base = LinearProgram.from_arrays(
+        c, A_eq, [1.0] * n_demand + [float(p)], A_ub, np.zeros(n_y)
+    )
     names = [
         f"Y{d.from_ids[i]}{d.to_ids[j]}" for j in range(m_cand) for i in range(n_demand)
     ] + [f"X{c}" for c in d.to_ids]
-    return _mip(
-        objective=objective,
-        rows=rows,
-        bounds=[(0.0, 1.0)] * n,
-        kinds=[VarKind.BINARY] * n,
-        names=names,
-        direction="min",
-    )
+    return MipProblem(base=base, kinds=[VarKind.BINARY] * n, names=names)
 
 
 class FixedCapacity:
@@ -506,37 +463,18 @@ def build_transportation(cost: DistanceMatrix, demand, supply_mode) -> MipProble
         caps = tuple(sum(demand) for _ in range(m_sup))
     else:
         raise InputError(f"unknown supply mode {supply_mode!r}")
-    n = m_sup * n_dem
-
-    def x_idx(i: int, j: int) -> int:
-        return i * n_dem + j
-
-    rows = []
-    for j in range(n_dem):
-        coeffs = [0.0] * n
-        for i in range(m_sup):
-            coeffs[x_idx(i, j)] = 1.0
-        rows.append((coeffs, "eq", demand[j]))
-    for i in range(m_sup):
-        coeffs = [0.0] * n
-        for j in range(n_dem):
-            coeffs[x_idx(i, j)] = 1.0
-        rows.append((coeffs, "le", caps[i]))
-    objective = [0.0] * n
-    for i in range(m_sup):
-        for j in range(n_dem):
-            objective[x_idx(i, j)] = cost.d[i][j]
+    # X_ij at i * n_dem + j; demand rows meet each store, supply rows cap each supplier.
+    base = LinearProgram.from_arrays(
+        np.array(cost.d).ravel(),
+        np.tile(np.eye(n_dem), m_sup),
+        demand,
+        np.kron(np.eye(m_sup), np.ones((1, n_dem))),
+        caps,
+    )
     names = [
         f"X{cost.from_ids[i]}{cost.to_ids[j]}" for i in range(m_sup) for j in range(n_dem)
     ]
-    return _mip(
-        objective=objective,
-        rows=rows,
-        bounds=[(0.0, math.inf)] * n,
-        kinds=[VarKind.INTEGER] * n,
-        names=names,
-        direction="min",
-    )
+    return MipProblem(base=base, kinds=[VarKind.INTEGER] * (m_sup * n_dem), names=names)
 
 
 def build_max_flow(net: Network, s, t, sink_cap: float | None = None) -> MipProblem:
@@ -548,29 +486,25 @@ def build_max_flow(net: Network, s, t, sink_cap: float | None = None) -> MipProb
     if s not in net.node_ids or t not in net.node_ids:
         raise InputError("source or sink not in network")
     arcs = net.arcs
-    n = len(arcs)
-    rows = []
-    for node in net.node_ids:
-        if node in (s, t):
-            continue
-        coeffs = [0.0] * n
-        for idx, (tail, head, _, _) in enumerate(arcs):
-            if head == node:
-                coeffs[idx] += 1.0
-            elif tail == node:
-                coeffs[idx] -= 1.0
-        rows.append((coeffs, "eq", 0.0))
-    if sink_cap is not None:
-        coeffs = [1.0 if head == t else 0.0 for _, head, _, _ in arcs]
-        rows.append((coeffs, "le", float(sink_cap)))
-    objective = [1.0 if tail == s else 0.0 for tail, _, _, _ in arcs]
-    return _mip(
-        objective=objective,
-        rows=rows,
-        bounds=[(0.0, cap) for _, _, _, cap in arcs],
-        kinds=[VarKind.CONTINUOUS] * n,
-        names=[f"X{tail}{head}" for tail, head, _, _ in arcs],
+    inc = _incidence(net)
+    inner = [k for k, node in enumerate(net.node_ids) if node not in (s, t)]
+    A_ub = b_ub = None
+    if sink_cap is not None:  # total flow into the sink
+        A_ub = inc[[net.node_ids.index(t)]] > 0
+        b_ub = [float(sink_cap)]
+    base = LinearProgram.from_arrays(
+        [1.0 if tail == s else 0.0 for tail, _, _, _ in arcs],
+        inc[inner],
+        np.zeros(len(inner)),
+        A_ub,
+        b_ub,
+        hi=[cap for _, _, _, cap in arcs],
         direction="max",
+    )
+    return MipProblem(
+        base=base,
+        kinds=[VarKind.CONTINUOUS] * len(arcs),
+        names=[f"X{tail}{head}" for tail, head, _, _ in arcs],
     )
 
 
@@ -593,34 +527,20 @@ def build_facility_location(unit_cost: DistanceMatrix, fixed_cost, demand, capac
         raise InputError("one demand per store required")
     if sum(capacity) < sum(demand):
         raise InputError("total capacity below total demand")
-    n_y = n_fac * m_store
+    n_y = n_fac * m_store  # Y_ij at i * m_store + j, then X_i
     n = n_y + n_fac
 
-    def y_idx(i: int, j: int) -> int:
-        return i * m_store + j
-
-    rows = []
-    for j in range(m_store):
-        coeffs = [0.0] * n
-        for i in range(n_fac):
-            coeffs[y_idx(i, j)] = 1.0
-        rows.append((coeffs, "eq", demand[j]))
-    for i in range(n_fac):
-        coeffs = [0.0] * n
-        for j in range(m_store):
-            coeffs[y_idx(i, j)] = 1.0
-        coeffs[n_y + i] = -capacity[i]
-        rows.append((coeffs, "le", 0.0))
-    objective = [0.0] * n
-    for i in range(n_fac):
-        for j in range(m_store):
-            objective[y_idx(i, j)] = unit_cost.d[i][j]
-        objective[n_y + i] = fixed_cost[i]
+    A_eq = np.zeros((m_store, n))
+    A_eq[:, :n_y] = np.tile(np.eye(m_store), n_fac)  # each store's demand met
+    A_ub = np.zeros((n_fac, n))  # linking: sum_j Y_ij - u_i X_i <= 0
+    A_ub[:, :n_y] = np.kron(np.eye(n_fac), np.ones((1, m_store)))
+    A_ub[np.arange(n_fac), n_y + np.arange(n_fac)] = [-u for u in capacity]
+    c = np.concatenate([np.array(unit_cost.d).ravel(), fixed_cost])
+    base = LinearProgram.from_arrays(c, A_eq, demand, A_ub, np.zeros(n_fac))
     names = [
         f"Y{unit_cost.from_ids[i]}{unit_cost.to_ids[j]}"
         for i in range(n_fac)
         for j in range(m_store)
     ] + [f"X{f}" for f in unit_cost.from_ids]
-    bounds = [(0.0, math.inf)] * n_y + [(0.0, 1.0)] * n_fac
     kinds = [VarKind.INTEGER] * n_y + [VarKind.BINARY] * n_fac
-    return _mip(objective, rows, bounds, kinds, names, "min")
+    return MipProblem(base=base, kinds=kinds, names=names)

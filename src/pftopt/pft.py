@@ -22,8 +22,10 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .branch_bound import MipProblem, VarKind
-from .linprog import LinearProgram, MalformedProblemError, to_standard_form
+from .linprog import LinearProgram, MalformedProblemError, split_senses
 
 __all__ = [
     "Pft",
@@ -313,30 +315,21 @@ def audit_pft(pft: Pft) -> AuditReport:
 def compile_pft(pft: Pft) -> MipProblem:
     """Lower a PFT into a MipProblem; audits are advisory and not re-run here."""
     n = pft.num_vars
-    rows = [(coeffs, sense, rhs) for _, sense, coeffs, rhs in pft.constraint_columns]
-    eq_rows, ub_rows = to_standard_form(rows)
-    bounds = []
-    for i, (name, kind) in enumerate(pft.variables):
-        if kind is VarKind.BINARY:
-            lo, hi = 0.0, 1.0
-        else:
-            lo, hi = 0.0, math.inf
-        if pft.bounds is not None:
-            lb, ub = pft.bounds[i]
-            if lb is not None:
-                lo = lb
-            if ub is not None:
-                hi = ub
-        if lo > hi:
-            raise MalformedProblemError(f"variable {name}: lower bound {lo} exceeds {hi}")
-        bounds.append((lo, hi))
-    base = LinearProgram(
-        objective=pft.objective,
-        eq_rows=eq_rows,
-        ub_rows=ub_rows,
-        bounds=tuple(bounds),
-        direction=pft.direction,
-    )
+    cols = pft.constraint_columns
+    A = np.array([coeffs for _, _, coeffs, _ in cols], dtype=float).reshape(len(cols), n)
+    b = np.array([rhs for _, _, _, rhs in cols], dtype=float)
+    A_eq, b_eq, A_ub, b_ub = split_senses(A, [sense for _, sense, _, _ in cols], b)
+    lo = np.zeros(n)
+    hi = np.full(n, math.inf)
+    for i, (lb, ub) in enumerate(pft.bounds or ()):
+        if lb is not None:
+            lo[i] = lb
+        if ub is not None:
+            hi[i] = ub
+        if lo[i] > hi[i]:
+            name = pft.variables[i][0]
+            raise MalformedProblemError(f"variable {name}: lower bound {lo[i]} exceeds {hi[i]}")
+    base = LinearProgram.from_arrays(pft.objective, A_eq, b_eq, A_ub, b_ub, lo, hi, pft.direction)
     return MipProblem(
         base=base,
         kinds=tuple(kind for _, kind in pft.variables),

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from pftopt import branch_bound, models
 from pftopt.branch_bound import MipProblem, VarKind, branch, solve_mip
 from pftopt.linprog import (
     LinearProgram,
@@ -237,3 +238,101 @@ class TestFixtures:
         assert out.status is Status.OPTIMAL
         assert out.objective_value == pytest.approx(410.0)
         assert out.x[mip.names.index("X2")] == pytest.approx(0.0, abs=1e-6)
+
+
+def _two_integer_probe():
+    """max a + b s.t. 2a + 2b <= 3 with integers a, b in [0, 10]: optimum 1."""
+    return _mip(
+        [1.0, 1.0],
+        [([2.0, 2.0], "le", 3.0)],
+        [(0.0, 10.0)] * 2,
+        [VarKind.INTEGER] * 2,
+        "max",
+    )
+
+
+def _record_node_lps(monkeypatch):
+    """Route solve_mip's LP solves through a recorder; returns the (lp, outcome) list."""
+    calls = []
+    original = branch_bound.solve_lp
+
+    def recording(lp, limits=None):
+        outcome = original(lp, limits)
+        calls.append((lp, outcome))
+        return outcome
+
+    monkeypatch.setattr(branch_bound, "solve_lp", recording)
+    return calls
+
+
+class TestUnresolvedNodes:
+    def test_node_at_iteration_limit_is_not_infeasible(self):
+        out = solve_mip(_two_integer_probe(), SolveLimits(max_iterations=2))
+        assert out.status is Status.ITERATION_LIMIT
+
+    def test_probe_without_limit_is_optimal(self):
+        out = solve_mip(_two_integer_probe())
+        assert out.status is Status.OPTIMAL
+        assert out.objective_value == pytest.approx(1.0)
+
+    def test_numerical_node_ends_the_solve_numerical(self, monkeypatch):
+        original = branch_bound.solve_lp
+        seen = []
+
+        def numerical_children(lp, limits=None):
+            seen.append(lp)
+            if len(seen) == 1:
+                return original(lp, limits)
+            return LpOutcome(status=Status.NUMERICAL)
+
+        monkeypatch.setattr(branch_bound, "solve_lp", numerical_children)
+        out = solve_mip(_two_integer_probe())
+        assert len(seen) > 1
+        assert out.status is Status.NUMERICAL
+
+    def test_open_subtree_keeps_the_bound_open(self, monkeypatch):
+        # The a >= 2 child (third LP) fails; the a <= 1 subtree still finds
+        # a + b = 1, but the failed subtree's bound, the root value 1.5, stays
+        # in best_bound.
+        original = branch_bound.solve_lp
+        seen = []
+
+        def third_call_numerical(lp, limits=None):
+            seen.append(lp)
+            if len(seen) == 3:
+                assert lp.lo[0] == 2.0
+                return LpOutcome(status=Status.NUMERICAL)
+            return original(lp, limits)
+
+        monkeypatch.setattr(branch_bound, "solve_lp", third_call_numerical)
+        out = solve_mip(_two_integer_probe())
+        assert out.status is Status.NUMERICAL
+        assert out.objective_value == pytest.approx(1.0)
+        assert out.best_bound == pytest.approx(1.5)
+
+
+class TestNodeAccounting:
+    def test_iterations_sum_the_pivots_of_every_node_lp(self, monkeypatch):
+        calls = _record_node_lps(monkeypatch)
+        out = solve_mip(_two_integer_probe())
+        assert len(calls) == out.nodes_explored > 1
+        assert out.iterations == sum(outcome.iterations for _, outcome in calls) > 0
+
+    def test_node_lps_share_the_root_arrays(self, monkeypatch):
+        rng = random.Random(7)
+        n = 5
+        d = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = float(rng.randint(1, 30))
+        ids = tuple(range(1, n + 1))
+        mip = models.build_tour(models.DistanceMatrix(ids, ids, d))
+        calls = _record_node_lps(monkeypatch)
+        out = solve_mip(mip)
+        assert out.status is Status.OPTIMAL
+        assert len(calls) == out.nodes_explored > 2
+        root = mip.base
+        for lp, _ in calls:
+            assert lp.c is root.c
+            assert lp.A_eq is root.A_eq and lp.b_eq is root.b_eq
+            assert lp.A_ub is root.A_ub and lp.b_ub is root.b_ub

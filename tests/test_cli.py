@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from pftopt import branch_bound
 from pftopt.cli import PARSE_ERROR, USAGE_ERROR, run
 
 def _run(argv):
@@ -31,6 +32,25 @@ class TestSolve:
         assert doc["objective"] == pytest.approx(1867.0)
         names = {v["name"] for v in doc["variables"]}
         assert names == {"X14", "X47"}
+
+    def test_iterations_are_the_pivots_of_every_node_lp(self, fixtures, monkeypatch):
+        pivots = []
+        original = branch_bound.solve_lp
+
+        def counting(lp, limits=None):
+            outcome = original(lp, limits)
+            pivots.append(outcome.iterations)
+            return outcome
+
+        monkeypatch.setattr(branch_bound, "solve_lp", counting)
+        path = str(fixtures / "warehouse_siting.pft.csv")
+        code, out, _ = _run(["solve", "--pft", path, "--deterministic"])
+        assert code == 0
+        assert len(pivots) > 1 and sum(pivots) > 0
+        assert f"iterations: {sum(pivots)}\n" in out
+        pivots.clear()
+        _, out, _ = _run(["solve", "--pft", path, "--json"])
+        assert json.loads(out)["iterations"] == sum(pivots)
 
     def test_deterministic_output_is_byte_identical(self, fixtures):
         argv = ["solve", "--pft", str(fixtures / "transport_two_warehouse.pft.csv"), "--deterministic"]

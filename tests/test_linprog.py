@@ -203,3 +203,56 @@ class TestProperties:
         out = solve_lp(mip.base)
         assert out.status is Status.OPTIMAL
         assert out.objective_value == pytest.approx(8600.0)
+
+
+class TestArrayForm:
+    def _lp(self):
+        return _lp([1.0, 2.0], rows=[([1.0, 1.0], "ge", 1.0), ([1.0, -1.0], "eq", 0.0)])
+
+    def test_with_bounds_shares_objective_and_rows(self):
+        lp = self._lp()
+        narrowed = lp.with_bounds([0.0, 0.5], [1.0, 2.0])
+        assert narrowed.bounds == ((0.0, 1.0), (0.5, 2.0))
+        assert lp.bounds == ((0.0, math.inf), (0.0, math.inf))
+        for name in ("c", "A_eq", "b_eq", "A_ub", "b_ub"):
+            assert getattr(narrowed, name) is getattr(lp, name)
+        assert solve_lp(narrowed).objective_value == pytest.approx(1.5)
+
+    def test_with_bounds_rejects_crossed_bounds(self):
+        with pytest.raises(MalformedProblemError):
+            self._lp().with_bounds([0.0, 3.0], [1.0, 2.0])
+
+    def test_with_bounds_rejects_nan(self):
+        with pytest.raises(MalformedProblemError):
+            self._lp().with_bounds([0.0, math.nan], [1.0, 2.0])
+        with pytest.raises(MalformedProblemError):
+            self._lp().with_bounds([0.0, 0.0], [math.nan, 2.0])
+
+    def test_with_bounds_rejects_wrong_length(self):
+        with pytest.raises(MalformedProblemError):
+            self._lp().with_bounds([0.0], [1.0])
+
+    def test_stored_arrays_are_read_only(self):
+        lp = self._lp()
+        for problem in (lp, lp.with_bounds([0.0, 0.0], [1.0, 1.0])):
+            for name in ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi"):
+                with pytest.raises(ValueError):
+                    getattr(problem, name)[...] = 0.0
+
+    def test_from_arrays_matches_keyword_form_and_copies(self):
+        A_ub = np.array([[-1.0, -1.0]])
+        lp = LinearProgram.from_arrays([1.0, 2.0], [[1.0, -1.0]], [0.0], A_ub, [-1.0])
+        A_ub[0, 0] = 5.0  # the caller's array is not the problem's
+        keyword = self._lp()
+        assert lp.objective == keyword.objective
+        assert lp.eq_rows == keyword.eq_rows
+        assert lp.ub_rows == keyword.ub_rows
+        assert lp.bounds == keyword.bounds
+
+    def test_from_arrays_rejects_malformed_blocks(self):
+        with pytest.raises(MalformedProblemError):
+            LinearProgram.from_arrays([1.0, 2.0], A_ub=[[1.0, 1.0]], b_ub=[1.0, 2.0])
+        with pytest.raises(MalformedProblemError):
+            LinearProgram.from_arrays([1.0, 2.0], A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0])
+        with pytest.raises(MalformedProblemError):
+            LinearProgram.from_arrays([1.0, 2.0], A_eq=[[1.0, math.inf]], b_eq=[1.0])
