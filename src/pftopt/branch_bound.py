@@ -160,6 +160,8 @@ def solve_mip(mip: MipProblem, limits: SolveLimits | None = None) -> MipOutcome:
         up_lo = lo.copy()
         up_lo[i] = decision.ceil_value
         for child_lo, child_hi in ((lo, down_hi), (up_lo, hi)):
+            if child_lo[i] > child_hi[i]:
+                continue  # a fractional bound left this side no integer: infeasible
             counter += 1
             heapq.heappush(heap, (value, counter, child_lo, child_hi))
 

@@ -7,10 +7,32 @@ Problems are stated in the standard form
             A_ub x <= b_ub
             l <= x <= u
 
-Inequality rows receive slack variables internally so that the working
-problem is an equality system over bounded variables. A two-phase start
-(artificial variables, then the true objective) makes the solver total:
-it reports Infeasible/Unbounded instead of raising.
+Working form: with m_eq equality rows, m_ub inequality rows and n variables,
+inequality row m_eq + k owns the slack column n + k (bounds [0, inf)), so the
+working problem is an equality system over bounded columns. Every column
+starts at its finite lower bound, else its finite upper bound, else (free) at
+zero. An inequality row whose slack can absorb the start's residual starts
+with that slack basic; only the other rows (every equality row, and every
+inequality row the start violates) get an artificial column. Phase 1 drives
+the artificials to zero; phase 2 pins them there and minimizes the true
+objective (negated for max).
+
+One primal simplex loop runs both phases and returns a status instead of
+raising: OPTIMAL, ITERATION_LIMIT (max_iterations pivots over both phases),
+UNBOUNDED on an improving ray that no bound blocks, or NUMERICAL on a singular
+basis. Phase 1 is bounded below, so an unbounded ray there is reported as
+NUMERICAL; a phase 1 that ends with artificials above tolerance gives
+INFEASIBLE. `LpOutcome.iterations` counts every pivot made, whatever the
+status.
+
+Pricing takes the largest reduced-cost violation, or the lowest column index
+(Bland) once more than 3 (m_eq + n + 2 m_ub) pivots in a row made no
+progress. Ratio test: a basic variable blocks at the bound it heads to, after
+its distance to that bound divided by |rate|; one with |rate| <=
+feasibility_tol never blocks. A row leaves only if its step is shorter than
+the entering variable's bound flip by more than 1e-12. Rows within 1e-12 of
+the shortest step tie: the first with the largest |rate| leaves, or under
+Bland the one with the lowest column index.
 """
 
 from __future__ import annotations
@@ -218,7 +240,7 @@ class LpOutcome:
     status: Status
     x: np.ndarray | None = None
     objective_value: float | None = None
-    iterations: int = 0
+    iterations: int = 0  # simplex pivots made, whatever the status
     eq_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     ub_slacks: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -267,31 +289,15 @@ _AT_UPPER = 1
 _FREE = 2
 
 
-class _Unbounded(Exception):
-    pass
+def _run_simplex(A, c, lo, hi, basis, rest, x, limits, iteration, stall_after):
+    """Minimize c.x over Ax = b, lo <= x <= hi from the basic solution x.
 
-
-class _Singular(Exception):
-    pass
-
-
-def _price(A, c, basis, nonbasic):
-    """Reduced costs of the nonbasic columns for the current basis."""
-    B = A[:, basis]
-    try:
-        y = np.linalg.solve(B.T, c[basis])
-    except np.linalg.LinAlgError:
-        raise _Singular
-    return c[nonbasic] - A[:, nonbasic].T @ y
-
-
-def _run_simplex(A, b, c, lo, hi, basis, status, x, limits, iteration, stall_after):
-    """Minimize c.x over Ax = b, lo <= x <= hi from the given basic solution.
-
-    `basis` holds one variable index per row; `status` marks every variable's
-    nonbasic rest position (entries for basic variables are ignored). Mutates
-    basis/status/x in place. Returns (optimal?, iterations); raises _Unbounded
-    on an unblocked improving ray.
+    `basis` holds one column index per row; `rest` marks every column's
+    nonbasic rest position (entries for basic columns are ignored). Mutates
+    basis/rest/x in place. Returns (status, iterations), where iterations
+    goes on from `iteration` and counts every pivot made: OPTIMAL,
+    ITERATION_LIMIT, UNBOUNDED on an unblocked improving ray, or NUMERICAL
+    on a singular basis.
     """
     m, n_total = A.shape
     opt_tol = limits.optimality_tol
@@ -303,77 +309,65 @@ def _run_simplex(A, b, c, lo, hi, basis, status, x, limits, iteration, stall_aft
         in_basis = np.zeros(n_total, dtype=bool)
         in_basis[basis] = True
         nonbasic = np.flatnonzero(~in_basis)
-        d = _price(A, c, basis, nonbasic)
+        B = A[:, basis]
+        try:
+            y = np.linalg.solve(B.T, c[basis])
+        except np.linalg.LinAlgError:
+            return Status.NUMERICAL, iteration
+        d = c[nonbasic] - A[:, nonbasic].T @ y
         # Entering candidates: at-lower (or free) columns want d < 0, at-upper
         # columns want d > 0. Fixed columns (lo == hi) never enter.
         gaps = hi[nonbasic] - lo[nonbasic]
-        at_lower = status[nonbasic] != _AT_UPPER
-        is_free = status[nonbasic] == _FREE
+        at_lower = rest[nonbasic] != _AT_UPPER
+        is_free = rest[nonbasic] == _FREE
         viol = np.where(is_free, np.abs(d), np.where(at_lower, -d, d))
         viol[gaps <= 0] = -math.inf
         eligible = np.nonzero(viol > opt_tol)[0]
         if eligible.size == 0:
-            return True, iteration
+            return Status.OPTIMAL, iteration
         if bland:
             k = eligible[np.argmin(nonbasic[eligible])]
         else:
             k = eligible[np.argmax(viol[eligible])]
         j_in = int(nonbasic[k])
-        if status[j_in] == _FREE:
+        if rest[j_in] == _FREE:
             sigma = 1.0 if d[k] < 0 else -1.0
         else:
-            sigma = 1.0 if status[j_in] != _AT_UPPER else -1.0
+            sigma = 1.0 if rest[j_in] != _AT_UPPER else -1.0
 
-        B = A[:, basis]
         try:
             w = np.linalg.solve(B, A[:, j_in])
         except np.linalg.LinAlgError:
-            raise _Singular
+            return Status.NUMERICAL, iteration
         # x_B moves at rate -sigma*w as the entering variable moves by t >= 0.
+        # Each basic variable blocks at the bound it heads to; one that barely
+        # moves (|rate| <= feas_tol) never blocks.
         rate = -sigma * w
-        t_best = hi[j_in] - lo[j_in]  # bound flip distance (inf if one side open)
+        speed = np.abs(rate)
+        x_b = x[basis]
+        room = np.where(rate > 0, hi[basis] - x_b, x_b - lo[basis])
+        step = np.divide(room, speed, out=np.full(m, math.inf), where=speed > feas_tol)
+        np.maximum(step, 0.0, out=step)
+        t = hi[j_in] - lo[j_in]  # bound flip distance (inf if one side open)
+        t_min = step.min(initial=math.inf)
         leave_pos = -1
-        leave_to_upper = False
-        for i in range(m):
-            bi = basis[i]
-            if rate[i] < -feas_tol:
-                if math.isfinite(lo[bi]):
-                    t_i = (x[bi] - lo[bi]) / (-rate[i])
-                else:
-                    continue
-                hits_upper = False
-            elif rate[i] > feas_tol:
-                if math.isfinite(hi[bi]):
-                    t_i = (hi[bi] - x[bi]) / rate[i]
-                else:
-                    continue
-                hits_upper = True
-            else:
-                continue
-            t_i = max(t_i, 0.0)
-            better = t_i < t_best - 1e-12
-            tie = abs(t_i - t_best) <= 1e-12
-            if better or (tie and leave_pos >= 0 and (
-                (bland and bi < basis[leave_pos])
-                or (not bland and abs(rate[i]) > abs(rate[leave_pos]))
-            )):
-                t_best = t_i
-                leave_pos = i
-                leave_to_upper = hits_upper
-        if not math.isfinite(t_best):
-            raise _Unbounded
-        # Apply the step.
-        x[j_in] += sigma * t_best
-        for i in range(m):
-            x[basis[i]] += rate[i] * t_best
+        if t_min < t - 1e-12:
+            ties = np.flatnonzero(step - t_min <= 1e-12)
+            leave_pos = ties[np.argmin(basis[ties]) if bland else np.argmax(speed[ties])]
+            t = step[leave_pos]
+        if not math.isfinite(t):
+            return Status.UNBOUNDED, iteration
+        x[j_in] += sigma * t
+        x[basis] += rate * t
         if leave_pos < 0:
-            # Entering variable ran to its opposite bound: status flip only.
-            status[j_in] = _AT_UPPER if status[j_in] == _AT_LOWER else _AT_LOWER
-            x[j_in] = hi[j_in] if status[j_in] == _AT_UPPER else lo[j_in]
+            # Entering variable ran to its opposite bound: rest flip only.
+            rest[j_in] = _AT_UPPER if rest[j_in] == _AT_LOWER else _AT_LOWER
+            x[j_in] = hi[j_in] if rest[j_in] == _AT_UPPER else lo[j_in]
         else:
             j_out = basis[leave_pos]
-            x[j_out] = hi[j_out] if leave_to_upper else lo[j_out]
-            status[j_out] = _AT_UPPER if leave_to_upper else _AT_LOWER
+            to_upper = rate[leave_pos] > 0
+            x[j_out] = hi[j_out] if to_upper else lo[j_out]
+            rest[j_out] = _AT_UPPER if to_upper else _AT_LOWER
             basis[leave_pos] = j_in
         iteration += 1
         obj = float(c @ x)
@@ -385,81 +379,7 @@ def _run_simplex(A, b, c, lo, hi, basis, status, x, limits, iteration, stall_aft
             stall += 1
             if stall > stall_after:
                 bland = True
-    return False, iteration
-
-
-def _solve_bounded(A, b, c, lo, hi, limits, slack_of=None):
-    """Two-phase bounded simplex on an all-equality system.
-
-    slack_of maps row index -> column index of that row's slack; rows whose
-    slack can absorb the starting residual seed the basis directly, so
-    artificials are only created where needed (typically equality rows).
-    Returns (status, x, iterations) where x covers all columns of A.
-    """
-    m, n = A.shape
-    slack_of = slack_of or {}
-    stall_after = 3 * (m + n)
-    x = np.empty(n)
-    status = np.empty(n, dtype=int)
-    for j in range(n):
-        if math.isfinite(lo[j]):
-            x[j], status[j] = lo[j], _AT_LOWER
-        elif math.isfinite(hi[j]):
-            x[j], status[j] = hi[j], _AT_UPPER
-        else:
-            x[j], status[j] = 0.0, _FREE
-    residual = b - A @ x
-    basis = [-1] * m
-    needy = []
-    for i in range(m):
-        j_s = slack_of.get(i)
-        if j_s is not None and residual[i] >= 0:
-            x[j_s] = residual[i]
-            basis[i] = j_s
-        else:
-            needy.append(i)
-    n_art = len(needy)
-    art_cols = np.zeros((m, n_art))
-    for pos, i in enumerate(needy):
-        art_cols[i, pos] = 1.0 if residual[i] >= 0 else -1.0
-        basis[i] = n + pos
-    A1 = np.hstack([A, art_cols])
-    lo1 = np.concatenate([lo, np.zeros(n_art)])
-    hi1 = np.concatenate([hi, np.full(n_art, math.inf)])
-    x = np.concatenate([x, np.abs(residual[needy])])
-    status = np.concatenate([status, np.full(n_art, _AT_LOWER)])
-
-    scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
-    c1 = np.concatenate([np.zeros(n), np.ones(n_art)])
-    try:
-        done, iters = _run_simplex(
-            A1, b, c1, lo1, hi1, basis, status, x, limits, 0, stall_after
-        )
-    except _Unbounded:
-        return Status.NUMERICAL, None, 0
-    except _Singular:
-        return Status.NUMERICAL, None, 0
-    if not done:
-        return Status.ITERATION_LIMIT, None, iters
-    if float(c1 @ x) > limits.feasibility_tol * scale:
-        return Status.INFEASIBLE, None, iters
-
-    # Phase 2: keep artificials but pin them to zero.
-    lo1[n:] = 0.0
-    hi1[n:] = 0.0
-    x[n:] = 0.0
-    c2 = np.concatenate([c, np.zeros(n_art)])
-    try:
-        done, iters = _run_simplex(
-            A1, b, c2, lo1, hi1, basis, status, x, limits, iters, stall_after
-        )
-    except _Unbounded:
-        return Status.UNBOUNDED, None, iters
-    except _Singular:
-        return Status.NUMERICAL, None, iters
-    if not done:
-        return Status.ITERATION_LIMIT, None, iters
-    return Status.OPTIMAL, x[:n].copy(), iters
+    return Status.ITERATION_LIMIT, iteration
 
 
 def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
@@ -473,22 +393,61 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     n = lp.num_vars
     sign = -1.0 if lp.direction == "max" else 1.0
     m_eq, m_ub = lp.b_eq.size, lp.b_ub.size
+    m, n_cols = m_eq + m_ub, n + m_ub
 
-    # Slack per inequality row turns the system into equalities.
-    A = np.zeros((m_eq + m_ub, n + m_ub))
+    # Inequality row m_eq + k owns slack column n + k.
+    A = np.zeros((m, n_cols))
     A[:m_eq, :n] = lp.A_eq
     A[m_eq:, :n] = lp.A_ub
     A[m_eq:, n:] = np.eye(m_ub)
     b = np.concatenate([lp.b_eq, lp.b_ub])
     lo = np.concatenate([lp.lo, np.zeros(m_ub)])
     hi = np.concatenate([lp.hi, np.full(m_ub, math.inf)])
-    c_full = np.concatenate([sign * lp.c, np.zeros(m_ub)])
 
-    slack_of = {m_eq + i: n + i for i in range(m_ub)}
-    status, x_full, iters = _solve_bounded(A, b, c_full, lo, hi, limits, slack_of)
+    # Every column rests at its finite lower bound, else its finite upper
+    # bound, else (free) at zero.
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    rest = np.where(has_lo, _AT_LOWER, np.where(has_hi, _AT_UPPER, _FREE))
+    x = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    residual = b - A @ x
+    # A slack that can absorb its row's residual starts basic; every other
+    # row gets an artificial column of its own.
+    absorbs = (np.arange(m) >= m_eq) & (residual >= 0)
+    basis = np.arange(m) + (n - m_eq)  # each inequality row's slack column
+    x[basis[absorbs]] = residual[absorbs]
+    needy = np.flatnonzero(~absorbs)
+    n_art = needy.size
+    basis[needy] = n_cols + np.arange(n_art)
+    art_cols = np.zeros((m, n_art))
+    art_cols[needy, np.arange(n_art)] = np.where(residual[needy] >= 0, 1.0, -1.0)
+    A = np.hstack([A, art_cols])
+    lo = np.concatenate([lo, np.zeros(n_art)])
+    hi = np.concatenate([hi, np.full(n_art, math.inf)])
+    x = np.concatenate([x, np.abs(residual[needy])])
+    rest = np.concatenate([rest, np.full(n_art, _AT_LOWER)])
+
+    # Phase 1 drives the artificials to zero. Its objective is bounded below,
+    # so an unbounded ray there is a numerical failure.
+    stall_after = 3 * (m + n_cols)
+    scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
+    c1 = np.concatenate([np.zeros(n_cols), np.ones(n_art)])
+    status, iters = _run_simplex(A, c1, lo, hi, basis, rest, x, limits, 0, stall_after)
+    if status is Status.UNBOUNDED:
+        status = Status.NUMERICAL
+    if status is Status.OPTIMAL and float(c1 @ x) > limits.feasibility_tol * scale:
+        status = Status.INFEASIBLE
     if status is not Status.OPTIMAL:
         return LpOutcome(status=status, iterations=iters)
-    x = x_full[:n]
+
+    # Phase 2: keep the artificials but pin them to zero.
+    lo[n_cols:] = 0.0
+    hi[n_cols:] = 0.0
+    x[n_cols:] = 0.0
+    c2 = np.concatenate([sign * lp.c, np.zeros(m_ub + n_art)])
+    status, iters = _run_simplex(A, c2, lo, hi, basis, rest, x, limits, iters, stall_after)
+    if status is not Status.OPTIMAL:
+        return LpOutcome(status=status, iterations=iters)
+    x = x[:n].copy()
     return LpOutcome(
         status=Status.OPTIMAL,
         x=x,

@@ -130,6 +130,18 @@ class TestSolve:
         out = solve_mip(mip)
         assert out.status is Status.INFEASIBLE
 
+    def test_fractional_integer_bound_is_solved(self):
+        # The up child of x = 1.5 would need x >= 2 > 1.5: it is empty, not an error.
+        mip = _mip([1.0], [], [(0.0, 1.5)], [VarKind.INTEGER], "max")
+        out = solve_mip(mip)
+        assert out.status is Status.OPTIMAL
+        assert out.objective_value == pytest.approx(1.0)
+
+    def test_fractional_bounds_without_an_integer_are_infeasible(self):
+        mip = _mip([1.0], [], [(0.2, 0.8)], [VarKind.INTEGER], "max")
+        out = solve_mip(mip)
+        assert out.status is Status.INFEASIBLE
+
     def test_unbounded_relaxation(self):
         mip = _mip([-1.0], [], [(0.0, math.inf)], [VarKind.INTEGER])
         out = solve_mip(mip)

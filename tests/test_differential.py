@@ -1,0 +1,156 @@
+"""Differential tests: solve_lp and solve_mip against scipy's HiGHS.
+
+Problems are generated by hypothesis from a fixed seed (derandomize) with a
+fixed example budget, so every run checks the same problems.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+
+from pftopt.branch_bound import MipProblem, VarKind, solve_mip
+from pftopt.linprog import LinearProgram, Status, solve_lp, split_senses
+
+ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+HIGHS = {"method": "highs", "options": {"presolve": False}}
+
+COEFFICIENT = st.integers(-5, 5)
+
+
+@st.composite
+def _rows(draw, n, max_rows):
+    m = draw(st.integers(0, max_rows))
+    A = np.array(
+        [draw(st.lists(COEFFICIENT, min_size=n, max_size=n)) for _ in range(m)], dtype=float
+    ).reshape(m, n)
+    senses = [draw(st.sampled_from(["le", "eq", "ge"])) for _ in range(m)]
+    b = np.array([draw(st.integers(-10, 10)) for _ in range(m)], dtype=float)
+    return A, senses, b
+
+
+@st.composite
+def _lp_bound(draw):
+    """Nonnegative, box, free, fixed or upper-only."""
+    kind = draw(st.sampled_from(["nonnegative", "box", "free", "fixed", "upper"]))
+    if kind == "nonnegative":
+        return 0.0, math.inf
+    if kind == "free":
+        return -math.inf, math.inf
+    a = draw(st.integers(-5, 5))
+    if kind == "fixed":
+        return float(a), float(a)
+    if kind == "upper":
+        return -math.inf, float(a)
+    return float(a), float(draw(st.integers(a, 6)))
+
+
+@st.composite
+def _mip_bound(draw):
+    """A half-integer box, or a fixed half-integer value."""
+    lo = draw(st.integers(-6, 6)) / 2
+    return lo, lo + draw(st.integers(0, 8)) / 2
+
+
+@st.composite
+def lps(draw):
+    n = draw(st.integers(1, 8))
+    c = np.array(draw(st.lists(COEFFICIENT, min_size=n, max_size=n)), dtype=float)
+    A, senses, b = draw(_rows(n, 6))
+    lo, hi = zip(*[draw(_lp_bound()) for _ in range(n)])
+    return c, A, senses, b, np.array(lo), np.array(hi), draw(st.sampled_from(["min", "max"]))
+
+
+@st.composite
+def mips(draw):
+    n = draw(st.integers(1, 6))
+    c = np.array(draw(st.lists(COEFFICIENT, min_size=n, max_size=n)), dtype=float)
+    A, senses, b = draw(_rows(n, 4))
+    lo, hi = zip(*[draw(_mip_bound()) for _ in range(n)])
+    kinds = [draw(st.sampled_from([VarKind.INTEGER, VarKind.CONTINUOUS])) for _ in range(n)]
+    direction = draw(st.sampled_from(["min", "max"]))
+    return c, A, senses, b, np.array(lo), np.array(hi), kinds, direction
+
+
+def _linear_program(c, A, senses, b, lo, hi, direction):
+    A_eq, b_eq, A_ub, b_ub = split_senses(A, senses, b)
+    return LinearProgram.from_arrays(c, A_eq, b_eq, A_ub, b_ub, lo, hi, direction)
+
+
+def _highs_lp(lp):
+    """(status, objective) from HiGHS.
+
+    Feasibility is settled first with a zero objective, so an
+    unbounded-or-infeasible answer cannot be ambiguous. Presolve is off:
+    with it, HiGHS has called feasible unbounded LPs infeasible (max -x1 + x7
+    - x8 over x1 + x7 + x8 >= 0, -x1 + x7 + x8 <= 0, x1 in [0, 1], x7 >= 0,
+    x8 free).
+    """
+    rows = {}
+    if lp.b_eq.size:
+        rows.update(A_eq=lp.A_eq, b_eq=lp.b_eq)
+    if lp.b_ub.size:
+        rows.update(A_ub=lp.A_ub, b_ub=lp.b_ub)
+    bounds = [(None if math.isinf(l) else l, None if math.isinf(h) else h) for l, h in lp.bounds]
+    feasible = linprog(np.zeros(lp.num_vars), bounds=bounds, **HIGHS, **rows)
+    assert feasible.status in (0, 2), feasible.message
+    if feasible.status == 2:
+        return Status.INFEASIBLE, None
+    sign = -1.0 if lp.direction == "max" else 1.0
+    res = linprog(sign * lp.c, bounds=bounds, **HIGHS, **rows)
+    assert res.status in (0, 3), res.message
+    if res.status == 3:
+        return Status.UNBOUNDED, None
+    return Status.OPTIMAL, sign * res.fun
+
+
+def _highs_mip(lp, kinds):
+    """(status, objective) from HiGHS. Integer bounds are rounded inward
+    first: given x integer in [-2.5, 1.5], HiGHS has returned x = -2.5."""
+    integer = np.array([kind is VarKind.INTEGER for kind in kinds])
+    lo = np.where(integer, np.ceil(lp.lo), lp.lo)
+    hi = np.where(integer, np.floor(lp.hi), lp.hi)
+    if (lo > hi).any():
+        return Status.INFEASIBLE, None
+    sign = -1.0 if lp.direction == "max" else 1.0
+    constraints = []
+    if lp.b_eq.size:
+        constraints.append(LinearConstraint(lp.A_eq, lp.b_eq, lp.b_eq))
+    if lp.b_ub.size:
+        constraints.append(LinearConstraint(lp.A_ub, -np.inf, lp.b_ub))
+    res = milp(
+        sign * lp.c,
+        integrality=integer,
+        bounds=Bounds(lo, hi),
+        constraints=constraints,
+    )
+    assert res.status in (0, 2), res.message
+    if res.status == 2:
+        return Status.INFEASIBLE, None
+    return Status.OPTIMAL, sign * res.fun
+
+
+def _assert_same_answer(ours, status, objective):
+    assert ours.status is status
+    if status is Status.OPTIMAL:
+        assert ours.objective_value == pytest.approx(objective, rel=1e-6, abs=1e-6)
+
+
+@ORACLE
+@given(lps())
+def test_solve_lp_matches_highs(problem):
+    lp = _linear_program(*problem)
+    _assert_same_answer(solve_lp(lp), *_highs_lp(lp))
+
+
+@ORACLE
+@given(mips())
+def test_solve_mip_matches_highs(problem):
+    c, A, senses, b, lo, hi, kinds, direction = problem
+    lp = _linear_program(c, A, senses, b, lo, hi, direction)
+    mip = MipProblem(lp, tuple(kinds), tuple(f"x{i}" for i in range(len(kinds))))
+    _assert_same_answer(solve_mip(mip), *_highs_mip(lp, kinds))

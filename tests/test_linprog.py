@@ -105,6 +105,16 @@ class TestStatuses:
         assert out.status is Status.ITERATION_LIMIT
         assert out.status == 1
 
+    def test_unbounded_reports_the_pivots_made(self):
+        # One pivot brings x1 into the basis; the ray x1 = x2 + 1 then runs free.
+        lp = LinearProgram.from_arrays([-1.0, -1.0], A_ub=[[1.0, -1.0]], b_ub=[1.0])
+        out = solve_lp(lp)
+        assert out.status is Status.UNBOUNDED
+        assert out.iterations == 1
+        capped = solve_lp(lp, SolveLimits(max_iterations=1))
+        assert capped.status is Status.ITERATION_LIMIT
+        assert capped.iterations == 1
+
 
 class TestSmallProblems:
     def test_bounds_only_minimum_at_lower(self):
