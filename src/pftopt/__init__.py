@@ -9,7 +9,6 @@ from .linprog import (
     SolveLimits,
     Status,
     solve_lp,
-    to_standard_form,
 )
 from .pft import AuditKind, AuditReport, Pft, PftParseError, audit_pft, compile_pft, parse_pft, render_pft
 
@@ -20,7 +19,6 @@ __all__ = [
     "Status",
     "MalformedProblemError",
     "solve_lp",
-    "to_standard_form",
     "MipProblem",
     "MipOutcome",
     "VarKind",

@@ -50,7 +50,6 @@ __all__ = [
     "LpOutcome",
     "MalformedProblemError",
     "split_senses",
-    "to_standard_form",
     "solve_lp",
 ]
 
@@ -89,13 +88,6 @@ class SolveLimits:
             raise MalformedProblemError("tolerances must be positive")
 
 
-def _as_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise MalformedProblemError(f"{name} must be one-dimensional")
-    return arr
-
-
 def _frozen(values) -> np.ndarray:
     """A read-only float copy, so no caller can change a problem after its checks."""
     arr = np.array(values, dtype=float)
@@ -129,78 +121,48 @@ def _checked_bounds(lo, hi, n: int) -> tuple:
     return lo, hi
 
 
-def _row_block(rows, n: int, label: str) -> tuple:
-    """(A, b) from a sequence of (coefficient vector, rhs) pairs."""
-    rows = list(rows)
-    coeffs = [_as_vector(a, f"{label} row") for a, _ in rows]
-    for a in coeffs:
-        if a.size != n:
-            raise MalformedProblemError(f"{label} row has {a.size} coefficients, expected {n}")
-    return np.array(coeffs).reshape(len(coeffs), n), [float(rhs) for _, rhs in rows]
-
-
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
     """Continuous problem in standard form, held as read-only numpy arrays.
 
     c is the objective, A_eq x = b_eq and A_ub x <= b_ub the rows, and
-    lo <= x <= hi the bounds, where -inf/+inf mark free sides and the default
-    is [0, inf). The arrays are checked once, when the problem is made;
-    `with_bounds` shares them.
-
-    The keyword constructor takes the tuple form: eq_rows and ub_rows as
-    sequences of (coefficient vector, rhs), bounds as one (lower, upper) pair
-    per variable. The properties objective, eq_rows, ub_rows and bounds give
-    that form back, computed when read.
+    lo <= x <= hi the bounds, where -inf/+inf mark free sides. Absent rows
+    are empty blocks and absent bounds default to [0, inf). Every array is
+    copied and checked once, when the problem is made; `with_bounds` shares
+    them. `eq_rows` and `ub_rows` give the rows back as (coefficients, rhs)
+    tuples, computed when read; they stay because the benchmark's tracer
+    (bench/tracing.py) counts rows with them.
     """
 
     c: np.ndarray
-    A_eq: np.ndarray
-    b_eq: np.ndarray
-    A_ub: np.ndarray
-    b_ub: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    direction: str
+    A_eq: np.ndarray | None = None
+    b_eq: np.ndarray | None = None
+    A_ub: np.ndarray | None = None
+    b_ub: np.ndarray | None = None
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
+    direction: str = "min"
 
-    def __init__(self, objective, eq_rows=(), ub_rows=(), bounds=(), direction="min"):
-        n = _as_vector(objective, "objective").size
-        lo, hi = zip(*bounds) if bounds else (None, None)
-        self._store(
-            objective,
-            *_row_block(eq_rows, n, "equality"),
-            *_row_block(ub_rows, n, "inequality"),
-            lo,
-            hi,
-            direction,
-        )
-
-    @classmethod
-    def from_arrays(
-        cls, c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, lo=None, hi=None, direction="min"
-    ) -> "LinearProgram":
-        """The problem from dense arrays, each copied; absent rows are empty."""
-        lp = object.__new__(cls)
-        lp._store(c, A_eq, b_eq, A_ub, b_ub, lo, hi, direction)
-        return lp
-
-    def _store(self, c, A_eq, b_eq, A_ub, b_ub, lo, hi, direction) -> None:
-        c = _frozen(_as_vector(c, "objective"))
+    def __post_init__(self) -> None:
+        c = _frozen(self.c)
+        if c.ndim != 1:
+            raise MalformedProblemError("objective must be one-dimensional")
         if c.size == 0:
             raise MalformedProblemError("problem has no variables")
         if not np.all(np.isfinite(c)):
             raise MalformedProblemError("objective coefficients must be finite")
         n = c.size
-        A_eq, b_eq = _checked_block(A_eq, b_eq, n, "equality")
-        A_ub, b_ub = _checked_block(A_ub, b_ub, n, "inequality")
+        A_eq, b_eq = _checked_block(self.A_eq, self.b_eq, n, "equality")
+        A_ub, b_ub = _checked_block(self.A_ub, self.b_ub, n, "inequality")
         lo, hi = _checked_bounds(
-            np.zeros(n) if lo is None else lo, np.full(n, math.inf) if hi is None else hi, n
+            np.zeros(n) if self.lo is None else self.lo,
+            np.full(n, math.inf) if self.hi is None else self.hi,
+            n,
         )
-        if direction not in ("min", "max"):
-            raise MalformedProblemError(f"unknown direction {direction!r}")
+        if self.direction not in ("min", "max"):
+            raise MalformedProblemError(f"unknown direction {self.direction!r}")
         for name, value in zip(
-            ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi", "direction"),
-            (c, A_eq, b_eq, A_ub, b_ub, lo, hi, direction),
+            ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi"), (c, A_eq, b_eq, A_ub, b_ub, lo, hi)
         ):
             object.__setattr__(self, name, value)
 
@@ -218,10 +180,7 @@ class LinearProgram:
     def num_vars(self) -> int:
         return self.c.size
 
-    @property
-    def objective(self) -> tuple:
-        return tuple(self.c.tolist())
-
+    # bench/tracing.py counts rows as len(lp.eq_rows) + len(lp.ub_rows).
     @property
     def eq_rows(self) -> tuple:
         return tuple(zip(map(tuple, self.A_eq.tolist()), self.b_eq.tolist()))
@@ -229,10 +188,6 @@ class LinearProgram:
     @property
     def ub_rows(self) -> tuple:
         return tuple(zip(map(tuple, self.A_ub.tolist()), self.b_ub.tolist()))
-
-    @property
-    def bounds(self) -> tuple:
-        return tuple(zip(self.lo.tolist(), self.hi.tolist()))
 
 
 @dataclass(frozen=True)
@@ -262,25 +217,6 @@ def split_senses(A, senses, b) -> tuple:
     flip = np.array([_SENSE_FLIP.get(sense, 1.0) for sense in senses])[~eq]
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     return A[eq], b[eq], flip[:, None] * A[~eq], flip * b[~eq]
-
-
-def to_standard_form(rows):
-    """Split (coeffs, sense, rhs) rows into (eq_rows, ub_rows) in the tuple form.
-
-    ">=" rows are negated into "<=" form; row order within each output list
-    follows input order.
-    """
-    rows = list(rows)
-    coeffs = [_as_vector(a, "constraint row") for a, _, _ in rows]
-    if len({a.size for a in coeffs}) > 1:
-        raise MalformedProblemError("constraint rows have inconsistent widths")
-    A = np.array(coeffs).reshape(len(rows), coeffs[0].size if coeffs else 0)
-    b = [float(rhs) for _, _, rhs in rows]
-    A_eq, b_eq, A_ub, b_ub = split_senses(A, [sense for _, sense, _ in rows], b)
-    return (
-        [(tuple(a), float(rhs)) for a, rhs in zip(A_eq, b_eq)],
-        [(tuple(a), float(rhs)) for a, rhs in zip(A_ub, b_ub)],
-    )
 
 
 # Nonbasic variable rests at one of its bounds (or at zero when free).

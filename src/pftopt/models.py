@@ -3,7 +3,7 @@ into solvable mixed-integer problems.
 
 Each builder is a pure function returning a MipProblem; nothing here touches
 the solver. A builder fills dense numpy blocks (objective, equality rows,
-<= rows, bounds) and hands them to `LinearProgram.from_arrays`, which checks
+<= rows, bounds) and hands them to `LinearProgram`, which copies and checks
 them once. Bounds default to [0, inf); builders state only other bounds, and
 `MipProblem` clamps binary variables into [0, 1]. Variable names concatenate
 the ids of the underlying formulations (arc variables "X<i><j>", assignment
@@ -153,9 +153,6 @@ class PathSet:
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "flow", flows)
 
-    def with_flows(self, flows) -> "PathSet":
-        return PathSet(source=self.source, sink=self.sink, paths=self.paths, flow=tuple(flows))
-
 
 def _incidence(net: Network) -> np.ndarray:
     """Node-arc incidence, one row per node in node_ids order: +1 where an
@@ -182,9 +179,7 @@ def build_shortest_path(net: Network, s, t) -> MipProblem:
     b_eq[net.node_ids.index(t)] = 1.0
     entering = inc > 0
     caps = entering[entering.any(axis=1)].astype(float)
-    base = LinearProgram.from_arrays(
-        [w for _, _, w, _ in arcs], inc, b_eq, caps, np.ones(len(caps))
-    )
+    base = LinearProgram([w for _, _, w, _ in arcs], inc, b_eq, caps, np.ones(len(caps)))
     return MipProblem(
         base=base,
         kinds=[VarKind.BINARY] * len(arcs),
@@ -228,9 +223,7 @@ def build_tour(d: DistanceMatrix) -> MipProblem:
     hi = np.full(n_total, math.inf)
     lo[n_arcs], hi[n_arcs] = 1.0, 1.0
     lo[n_arcs + 1 :], hi[n_arcs + 1 :] = 2.0, float(n)
-    base = LinearProgram.from_arrays(
-        c, A_eq, np.ones(2 * n), A_ub, np.full(inner.size, float(n - 1)), lo, hi
-    )
+    base = LinearProgram(c, A_eq, np.ones(2 * n), A_ub, np.full(inner.size, float(n - 1)), lo, hi)
     names = [f"X{d.from_ids[i - 1]}{d.to_ids[j - 1]}" for i, j in arc_pairs]
     names += [f"U{node}" for node in d.from_ids]
     return MipProblem(
@@ -247,7 +240,7 @@ def force_arc(mip: MipProblem, i, j) -> MipProblem:
     pin[mip.names.index(name)] = 1.0
     base = mip.base
     return MipProblem(
-        base=LinearProgram.from_arrays(
+        base=LinearProgram(
             base.c,
             np.vstack([base.A_eq, pin]),
             np.append(base.b_eq, 1.0),
@@ -278,7 +271,7 @@ def build_set_cover(adj: AdjacencySet, cost) -> MipProblem:
         a, b = (index[area] for area in pair)
         covers[a, b] = covers[b, a] = 1.0
     # covers @ x >= 1, negated into <= form.
-    base = LinearProgram.from_arrays(cost, A_ub=-covers, b_ub=np.full(n, -1.0))
+    base = LinearProgram(cost, A_ub=-covers, b_ub=np.full(n, -1.0))
     return MipProblem(base=base, kinds=[VarKind.BINARY] * n, names=[f"X{a}" for a in areas])
 
 
@@ -342,7 +335,7 @@ def build_flow_capture(ps: PathSet, candidates, p: int) -> MipProblem:
         for node in path:
             if node in cand_idx:
                 A_ub[r, cand_idx[node]] = -1.0
-    base = LinearProgram.from_arrays(
+    base = LinearProgram(
         np.concatenate([np.zeros(n_x), ps.flow]), A_eq, [float(p)], A_ub, np.zeros(n_y),
         direction="max",
     )
@@ -366,7 +359,7 @@ def build_coloring(adj: AdjacencySet, colors: int) -> MipProblem:
     ends = np.zeros((len(edges), n_areas))  # row: the two areas of a boundary pair
     for e, (a, b) in enumerate(edges):
         ends[e, a] = ends[e, b] = 1.0
-    base = LinearProgram.from_arrays(
+    base = LinearProgram(
         np.ones(n),
         np.tile(np.eye(n_areas), colors),  # one color per area
         np.ones(n_areas),
@@ -426,9 +419,7 @@ def build_service_coverage(d: DistanceMatrix, p: int) -> MipProblem:
     A_ub[np.arange(n_y), n_y + np.arange(n_y) // n_demand] = -1.0
     c = np.zeros(n)
     c[:n_y] = np.array(d.d).T.ravel()
-    base = LinearProgram.from_arrays(
-        c, A_eq, [1.0] * n_demand + [float(p)], A_ub, np.zeros(n_y)
-    )
+    base = LinearProgram(c, A_eq, [1.0] * n_demand + [float(p)], A_ub, np.zeros(n_y))
     names = [
         f"Y{d.from_ids[i]}{d.to_ids[j]}" for j in range(m_cand) for i in range(n_demand)
     ] + [f"X{c}" for c in d.to_ids]
@@ -459,12 +450,12 @@ def build_transportation(cost: DistanceMatrix, demand, supply_mode) -> MipProble
         caps = supply_mode.capacities
         if len(caps) != m_sup:
             raise InputError("one capacity per supplier required")
-    elif isinstance(supply_mode, DesignCapacity) or supply_mode is DesignCapacity:
+    elif isinstance(supply_mode, DesignCapacity):
         caps = tuple(sum(demand) for _ in range(m_sup))
     else:
         raise InputError(f"unknown supply mode {supply_mode!r}")
     # X_ij at i * n_dem + j; demand rows meet each store, supply rows cap each supplier.
-    base = LinearProgram.from_arrays(
+    base = LinearProgram(
         np.array(cost.d).ravel(),
         np.tile(np.eye(n_dem), m_sup),
         demand,
@@ -492,7 +483,7 @@ def build_max_flow(net: Network, s, t, sink_cap: float | None = None) -> MipProb
     if sink_cap is not None:  # total flow into the sink
         A_ub = inc[[net.node_ids.index(t)]] > 0
         b_ub = [float(sink_cap)]
-    base = LinearProgram.from_arrays(
+    base = LinearProgram(
         [1.0 if tail == s else 0.0 for tail, _, _, _ in arcs],
         inc[inner],
         np.zeros(len(inner)),
@@ -536,7 +527,7 @@ def build_facility_location(unit_cost: DistanceMatrix, fixed_cost, demand, capac
     A_ub[:, :n_y] = np.kron(np.eye(n_fac), np.ones((1, m_store)))
     A_ub[np.arange(n_fac), n_y + np.arange(n_fac)] = [-u for u in capacity]
     c = np.concatenate([np.array(unit_cost.d).ravel(), fixed_cost])
-    base = LinearProgram.from_arrays(c, A_eq, demand, A_ub, np.zeros(n_fac))
+    base = LinearProgram(c, A_eq, demand, A_ub, np.zeros(n_fac))
     names = [
         f"Y{unit_cost.from_ids[i]}{unit_cost.to_ids[j]}"
         for i in range(n_fac)

@@ -199,10 +199,11 @@ def parse_pft(text: str) -> Pft:
                 raise PftParseError(
                     f"binary variable {name!r} must not carry explicit bounds", line_no
                 )
+            lb_col = len(row) - 1
             bounds.append(
                 (
-                    float(lb_cell) if lb_cell else None,
-                    float(ub_cell) if ub_cell else None,
+                    _parse_cell(lb_cell, line_no, lb_col) if lb_cell else None,
+                    _parse_cell(ub_cell, line_no, lb_col + 1) if ub_cell else None,
                 )
             )
 
@@ -329,7 +330,7 @@ def compile_pft(pft: Pft) -> MipProblem:
         if lo[i] > hi[i]:
             name = pft.variables[i][0]
             raise MalformedProblemError(f"variable {name}: lower bound {lo[i]} exceeds {hi[i]}")
-    base = LinearProgram.from_arrays(pft.objective, A_eq, b_eq, A_ub, b_ub, lo, hi, pft.direction)
+    base = LinearProgram(pft.objective, A_eq, b_eq, A_ub, b_ub, lo, hi, pft.direction)
     return MipProblem(
         base=base,
         kinds=tuple(kind for _, kind in pft.variables),

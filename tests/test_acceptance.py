@@ -318,7 +318,7 @@ def test_criterion_7_facility_location():
     checks.append(("warehouse-4 linking row tight (ships 55)",
                    abs(shipped[4] - 55.0) < 1e-9))
     witness = [float(FACILITY_WITNESS.get(name, 0)) for name in mip.names]
-    witness_cost = sum(c * v for c, v in zip(mip.base.objective, witness))
+    witness_cost = sum(c * v for c, v in zip(mip.base.c, witness))
     checks.append(("reference split feasible at cost 410",
                    _solution_satisfies(mip, witness)
                    and abs(witness_cost - 410.0) < 1e-9))
@@ -404,7 +404,7 @@ def _solution_satisfies(mip, x, tol=1e-6):
     for coeffs, rhs in lp.ub_rows:
         if sum(a * v for a, v in zip(coeffs, x)) > rhs + tol:
             return False
-    for (lo, hi), v in zip(lp.bounds, x):
+    for lo, hi, v in zip(lp.lo, lp.hi, x):
         if v < lo - tol or v > hi + tol:
             return False
     for i in mip.integer_indices():
@@ -432,14 +432,12 @@ def test_criterion_10_solver_properties(fixtures):
         checks.append((f"{name} solution passes re-evaluation",
                        _solution_satisfies(mip, out.x)))
     infeasible = solve_lp(
-        LinearProgram(
-            objective=[1.0], ub_rows=(((1.0,), -1.0),), bounds=((0.0, math.inf),)
-        )
+        LinearProgram([1.0], A_ub=[[1.0]], b_ub=[-1.0], lo=[0.0], hi=[math.inf])
     )
     checks.append(("crafted infeasible LP returns status 2",
                    infeasible.status.value == 2))
     unbounded = solve_lp(
-        LinearProgram(objective=[-1.0], bounds=((0.0, math.inf),))
+        LinearProgram([-1.0], lo=[0.0], hi=[math.inf])
     )
     checks.append(("crafted unbounded LP returns status 3",
                    unbounded.status.value == 3))

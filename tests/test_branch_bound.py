@@ -15,19 +15,16 @@ from pftopt.linprog import (
     SolveLimits,
     Status,
     solve_lp,
-    to_standard_form,
+    split_senses,
 )
 
 
 def _mip(objective, rows, bounds, kinds, direction="min", names=None):
-    eq_rows, ub_rows = to_standard_form(list(rows))
-    base = LinearProgram(
-        objective=tuple(objective),
-        eq_rows=eq_rows,
-        ub_rows=ub_rows,
-        bounds=tuple(bounds),
-        direction=direction,
-    )
+    rows = list(rows)
+    A = [a for a, _, _ in rows] if rows else np.zeros((0, len(objective)))
+    blocks = split_senses(A, [sense for _, sense, _ in rows], [rhs for _, _, rhs in rows])
+    lo, hi = zip(*bounds)
+    base = LinearProgram(objective, *blocks, lo, hi, direction)
     if names is None:
         names = [f"x{i}" for i in range(len(objective))]
     return MipProblem(base=base, kinds=tuple(kinds), names=tuple(names))
@@ -84,7 +81,7 @@ class TestBranchRule:
 class TestValidation:
     def test_binary_bounds_clamped(self):
         mip = _mip([1.0], [], [(0.0, 5.0)], [VarKind.BINARY])
-        assert mip.base.bounds[0] == (0.0, 1.0)
+        assert (mip.base.lo[0], mip.base.hi[0]) == (0.0, 1.0)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -184,7 +181,7 @@ class TestOracles:
         """Best objective over all feasible 0/1 points, fully independent of
         the solver."""
         base = mip.base
-        n = len(base.objective)
+        n = base.num_vars
         sign = -1.0 if base.direction == "max" else 1.0
         best = None
         for point in itertools.product((0.0, 1.0), repeat=n):
@@ -197,7 +194,7 @@ class TestOracles:
             )
             if not ok:
                 continue
-            obj = sum(c * v for c, v in zip(base.objective, point))
+            obj = sum(c * v for c, v in zip(base.c, point))
             if best is None or sign * obj < sign * best:
                 best = obj
         return best

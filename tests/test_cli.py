@@ -92,6 +92,20 @@ class TestSolve:
         assert code == PARSE_ERROR
         assert "parse error" in err
 
+    @pytest.mark.parametrize("command", ["solve", "audit"])
+    def test_non_numeric_bound_exits_65(self, tmp_path, command):
+        path = tmp_path / "bad.pft.csv"
+        path.write_text(
+            "#PFT v1 dir=max title=t\n"
+            "var,kind,land,obj,lb,ub\n"
+            "x1,C,1,3,,abc\n"
+            "@sense,,le,\n"
+            "@rhs,,10,\n"
+        )
+        code, _, err = _run([command, "--pft", str(path)])
+        assert code == PARSE_ERROR
+        assert "line 3, column 6" in err
+
     def test_missing_file_exits_64(self):
         code, _, _ = _run(["solve", "--pft", "/nonexistent.pft.csv"])
         assert code == USAGE_ERROR

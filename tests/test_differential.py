@@ -78,7 +78,7 @@ def mips(draw):
 
 def _linear_program(c, A, senses, b, lo, hi, direction):
     A_eq, b_eq, A_ub, b_ub = split_senses(A, senses, b)
-    return LinearProgram.from_arrays(c, A_eq, b_eq, A_ub, b_ub, lo, hi, direction)
+    return LinearProgram(c, A_eq, b_eq, A_ub, b_ub, lo, hi, direction)
 
 
 def _highs_lp(lp):
@@ -95,7 +95,9 @@ def _highs_lp(lp):
         rows.update(A_eq=lp.A_eq, b_eq=lp.b_eq)
     if lp.b_ub.size:
         rows.update(A_ub=lp.A_ub, b_ub=lp.b_ub)
-    bounds = [(None if math.isinf(l) else l, None if math.isinf(h) else h) for l, h in lp.bounds]
+    bounds = [
+        (None if math.isinf(l) else l, None if math.isinf(h) else h) for l, h in zip(lp.lo, lp.hi)
+    ]
     feasible = linprog(np.zeros(lp.num_vars), bounds=bounds, **HIGHS, **rows)
     assert feasible.status in (0, 2), feasible.message
     if feasible.status == 2:

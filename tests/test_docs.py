@@ -1,0 +1,52 @@
+"""The public surface and the README examples stay runnable."""
+
+import contextlib
+import importlib
+import io
+import pathlib
+import pkgutil
+import re
+
+import pytest
+
+import pftopt
+from pftopt import Status
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+MODULES = ["pftopt"] + [f"pftopt.{m.name}" for m in pkgutil.iter_modules(pftopt.__path__)]
+
+
+def _run(block):
+    """(what the block prints, its namespace)."""
+    out, namespace = io.StringIO(), {}
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), namespace)
+    return out.getvalue(), namespace
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("block", PYTHON_BLOCKS, ids=range(len(PYTHON_BLOCKS)))
+def test_readme_block_prints_what_its_comments_say(block):
+    """Each `print(...)  # text` line must write exactly `text`."""
+    expected = [
+        line.split("#", 1)[1].strip()
+        for line in block.splitlines()
+        if line.startswith("print(") and "#" in line
+    ]
+    printed, _ = _run(block)
+    assert printed.splitlines() == expected
+
+
+def test_readme_library_example_solves_to_9():
+    [block] = [block for block in PYTHON_BLOCKS if "build_shortest_path" in block]
+    printed, namespace = _run(block)
+    assert namespace["out"].status is Status.OPTIMAL
+    assert namespace["out"].objective_value == 9.0
+    assert printed == "OPTIMAL 9.0\n"

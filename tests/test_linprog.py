@@ -12,45 +12,40 @@ from pftopt.linprog import (
     SolveLimits,
     Status,
     solve_lp,
-    to_standard_form,
+    split_senses,
 )
 
 
 def _lp(objective, rows=(), bounds=None, direction="min"):
-    eq_rows, ub_rows = to_standard_form(list(rows))
-    n = len(objective)
-    if bounds is None:
-        bounds = [(0.0, math.inf)] * n
-    return LinearProgram(
-        objective=tuple(objective),
-        eq_rows=eq_rows,
-        ub_rows=ub_rows,
-        bounds=tuple(bounds),
-        direction=direction,
-    )
+    """The LP over (coefficients, sense, rhs) rows and (lower, upper) bounds."""
+    rows = list(rows)
+    A = [a for a, _, _ in rows] if rows else np.zeros((0, len(objective)))
+    blocks = split_senses(A, [sense for _, sense, _ in rows], [rhs for _, _, rhs in rows])
+    lo, hi = zip(*bounds) if bounds else (None, None)
+    return LinearProgram(objective, *blocks, lo, hi, direction)
 
 
 class TestStandardForm:
     def test_ge_row_is_negated(self):
-        eq, ub = to_standard_form([([1.0, 1.0], "ge", 3.0)])
-        assert eq == []
-        assert ub == [((-1.0, -1.0), -3.0)]
+        A_eq, b_eq, A_ub, b_ub = split_senses([[1.0, 1.0]], ["ge"], [3.0])
+        assert A_eq.shape == (0, 2) and b_eq.tolist() == []
+        assert A_ub.tolist() == [[-1.0, -1.0]] and b_ub.tolist() == [-3.0]
 
     def test_eq_row_passes_through(self):
-        eq, ub = to_standard_form([([2.0], "eq", 4.0)])
-        assert eq == [((2.0,), 4.0)]
-        assert ub == []
+        A_eq, b_eq, A_ub, b_ub = split_senses([[2.0]], ["eq"], [4.0])
+        assert A_eq.tolist() == [[2.0]] and b_eq.tolist() == [4.0]
+        assert A_ub.shape == (0, 1) and b_ub.tolist() == []
 
     def test_le_row_unchanged_and_order_preserved(self):
-        eq, ub = to_standard_form(
-            [([1.0], "le", 5.0), ([1.0], "ge", 1.0), ([1.0], "eq", 3.0)]
+        A_eq, b_eq, A_ub, b_ub = split_senses(
+            [[1.0], [1.0], [1.0]], ["le", "ge", "eq"], [5.0, 1.0, 3.0]
         )
-        assert ub == [((1.0,), 5.0), ((-1.0,), -1.0)]
-        assert eq == [((1.0,), 3.0)]
+        assert A_ub.tolist() == [[1.0], [-1.0]] and b_ub.tolist() == [5.0, -1.0]
+        assert A_eq.tolist() == [[1.0]] and b_eq.tolist() == [3.0]
 
     def test_unknown_sense_rejected(self):
         with pytest.raises(MalformedProblemError):
-            to_standard_form([([1.0], "lt", 5.0)])
+            split_senses([[1.0]], ["lt"], [5.0])
 
 
 class TestValidation:
@@ -107,7 +102,7 @@ class TestStatuses:
 
     def test_unbounded_reports_the_pivots_made(self):
         # One pivot brings x1 into the basis; the ray x1 = x2 + 1 then runs free.
-        lp = LinearProgram.from_arrays([-1.0, -1.0], A_ub=[[1.0, -1.0]], b_ub=[1.0])
+        lp = LinearProgram([-1.0, -1.0], A_ub=[[1.0, -1.0]], b_ub=[1.0])
         out = solve_lp(lp)
         assert out.status is Status.UNBOUNDED
         assert out.iterations == 1
@@ -174,6 +169,32 @@ class TestProperties:
         assert out.status is Status.OPTIMAL
         assert out.objective_value == pytest.approx(-0.77)
 
+    @pytest.mark.parametrize(
+        "c, A_ub, b_ub, optimum",
+        [
+            # Kuhn's example: the largest-violation rule stalls on it until the
+            # Bland fallback takes over.
+            (
+                [-2.0, -3.0, 1.0, 12.0],
+                [[-2.0, -9.0, 1.0, 9.0], [1 / 3, 1.0, -1 / 3, -2.0], [2.0, 3.0, -1.0, -12.0]],
+                [0.0, 0.0, 2.0],
+                -2.0,
+            ),
+            # Beale's 1955 example, which cycles under the textbook tableau rule.
+            (
+                [-0.75, 20.0, -0.5, 6.0],
+                [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+                [0.0, 0.0, 1.0],
+                -1.25,
+            ),
+        ],
+        ids=["kuhn", "beale"],
+    )
+    def test_cycling_lp_reaches_the_optimum(self, c, A_ub, b_ub, optimum):
+        out = solve_lp(LinearProgram(c, A_ub=A_ub, b_ub=b_ub))
+        assert out.status is Status.OPTIMAL
+        assert out.objective_value == pytest.approx(optimum)
+
     def test_determinism(self):
         lp = _lp(
             [3.0, -1.0, 2.0],
@@ -222,8 +243,8 @@ class TestArrayForm:
     def test_with_bounds_shares_objective_and_rows(self):
         lp = self._lp()
         narrowed = lp.with_bounds([0.0, 0.5], [1.0, 2.0])
-        assert narrowed.bounds == ((0.0, 1.0), (0.5, 2.0))
-        assert lp.bounds == ((0.0, math.inf), (0.0, math.inf))
+        assert narrowed.lo.tolist() == [0.0, 0.5] and narrowed.hi.tolist() == [1.0, 2.0]
+        assert lp.lo.tolist() == [0.0, 0.0] and lp.hi.tolist() == [math.inf, math.inf]
         for name in ("c", "A_eq", "b_eq", "A_ub", "b_ub"):
             assert getattr(narrowed, name) is getattr(lp, name)
         assert solve_lp(narrowed).objective_value == pytest.approx(1.5)
@@ -249,20 +270,18 @@ class TestArrayForm:
                 with pytest.raises(ValueError):
                     getattr(problem, name)[...] = 0.0
 
-    def test_from_arrays_matches_keyword_form_and_copies(self):
+    def test_constructor_copies_its_arrays(self):
         A_ub = np.array([[-1.0, -1.0]])
-        lp = LinearProgram.from_arrays([1.0, 2.0], [[1.0, -1.0]], [0.0], A_ub, [-1.0])
+        lp = LinearProgram([1.0, 2.0], [[1.0, -1.0]], [0.0], A_ub, [-1.0])
         A_ub[0, 0] = 5.0  # the caller's array is not the problem's
-        keyword = self._lp()
-        assert lp.objective == keyword.objective
-        assert lp.eq_rows == keyword.eq_rows
-        assert lp.ub_rows == keyword.ub_rows
-        assert lp.bounds == keyword.bounds
+        expected = self._lp()
+        for name in ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi"):
+            assert np.array_equal(getattr(lp, name), getattr(expected, name)), name
 
-    def test_from_arrays_rejects_malformed_blocks(self):
+    def test_constructor_rejects_malformed_blocks(self):
         with pytest.raises(MalformedProblemError):
-            LinearProgram.from_arrays([1.0, 2.0], A_ub=[[1.0, 1.0]], b_ub=[1.0, 2.0])
+            LinearProgram([1.0, 2.0], A_ub=[[1.0, 1.0]], b_ub=[1.0, 2.0])
         with pytest.raises(MalformedProblemError):
-            LinearProgram.from_arrays([1.0, 2.0], A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0])
+            LinearProgram([1.0, 2.0], A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0])
         with pytest.raises(MalformedProblemError):
-            LinearProgram.from_arrays([1.0, 2.0], A_eq=[[1.0, math.inf]], b_eq=[1.0])
+            LinearProgram([1.0, 2.0], A_eq=[[1.0, math.inf]], b_eq=[1.0])

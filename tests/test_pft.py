@@ -23,6 +23,13 @@ x2,C,1,2
 @rhs,,10,
 """
 
+BOUNDED = """#PFT v1 dir=max title=bounded
+var,kind,land,obj,lb,ub
+{row}
+@sense,,le,
+@rhs,,10,
+"""
+
 
 class TestParse:
     def test_simple_table(self):
@@ -64,6 +71,15 @@ class TestParse:
     def test_duplicate_variable_names(self):
         with pytest.raises(PftParseError):
             parse_pft(SIMPLE.replace("x2,C,1,2", "x1,C,1,2"))
+
+    @pytest.mark.parametrize("row, column", [("x1,C,1,3,,abc", 6), ("x1,C,1,3,abc,", 5)])
+    def test_non_numeric_bound_names_its_cell(self, row, column):
+        with pytest.raises(PftParseError) as err:
+            parse_pft(BOUNDED.format(row=row))
+        assert (err.value.line, err.value.column) == (3, column)
+
+    def test_blank_bound_cells_mean_the_default(self):
+        assert parse_pft(BOUNDED.format(row="x1,C,1,3,,4")).bounds == ((None, 4.0),)
 
     def test_table3_shape(self, fixtures):
         table = parse_pft((fixtures / "shortest_path.pft.csv").read_text())
@@ -178,16 +194,17 @@ class TestCompile:
     def test_kind_defaults(self):
         table = parse_pft(SIMPLE)
         mip = compile_pft(table)
-        assert mip.base.bounds == ((0.0, math.inf), (0.0, math.inf))
+        assert mip.base.lo.tolist() == [0.0, 0.0]
+        assert mip.base.hi.tolist() == [math.inf, math.inf]
 
     def test_binary_gets_unit_box(self, fixtures):
         mip = compile_pft(parse_pft((fixtures / "shortest_path.pft.csv").read_text()))
-        assert set(mip.base.bounds) == {(0.0, 1.0)}
+        assert set(zip(mip.base.lo.tolist(), mip.base.hi.tolist())) == {(0.0, 1.0)}
         assert set(mip.kinds) == {VarKind.BINARY}
 
     def test_upper_bounds_from_columns(self, fixtures):
         mip = compile_pft(parse_pft((fixtures / "maxflow_seven_node.pft.csv").read_text()))
-        assert mip.base.bounds[0] == (0.0, 5.0)
+        assert (mip.base.lo[0], mip.base.hi[0]) == (0.0, 5.0)
         assert mip.base.direction == "max"
 
     def test_lb_above_ub_rejected(self):
