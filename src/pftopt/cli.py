@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 from . import models, pft as pft_mod, spatial
@@ -49,7 +49,6 @@ class RunReport:
     nodes: int
     iterations: int
     wall_time_s: float | None = None
-    extra_lines: list = field(default_factory=list)
 
     def to_text(self) -> str:
         out = [f"status: {self.status_text}"]
@@ -58,7 +57,6 @@ class RunReport:
         if self.nonzero:
             out.append("variables:")
             out.extend(f"  {name} = {_num(value)}" for name, value in self.nonzero)
-        out.extend(self.extra_lines)
         out.extend(self.constraint_lines)
         out.append(f"nodes: {self.nodes}")
         out.append(f"iterations: {self.iterations}")

@@ -96,8 +96,11 @@ def _frozen(values) -> np.ndarray:
 
 
 def _checked_block(A, b, n: int, label: str) -> tuple:
-    """(A, b) of one row family as read-only arrays, m x n and length m."""
+    """(A, b) of one row family as read-only arrays, m x n and length m. A
+    block with no entries, such as an empty row list, is the 0 x n block."""
     A = _frozen(np.zeros((0, n)) if A is None else A)
+    if A.size == 0:
+        A = A.reshape(0, n)
     b = _frozen(np.zeros(0) if b is None else b)
     if A.ndim != 2 or A.shape[1] != n or b.shape != (A.shape[0],):
         raise MalformedProblemError(f"{label} rows must be an m x {n} array with m rhs values")

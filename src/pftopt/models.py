@@ -381,16 +381,15 @@ class MinColorsResult:
     max_tried: int = 0
 
 
-def min_colors(adj: AdjacencySet, max_colors: int, solve=None) -> MinColorsResult:
+def min_colors(adj: AdjacencySet, max_colors: int) -> MinColorsResult:
     """Smallest feasible color count in 1..max_colors by ascending scan."""
-    from .branch_bound import solve_mip
+    from .branch_bound import solve_mip  # looked up per call, so a rebinding takes effect
     from .linprog import Status
 
-    solve = solve or solve_mip
     areas = adj.area_ids
     n_areas = len(areas)
     for k in range(1, max_colors + 1):
-        outcome = solve(build_coloring(adj, k))
+        outcome = solve_mip(build_coloring(adj, k))
         if outcome.status is Status.OPTIMAL:
             assignment = {}
             for color in range(k):

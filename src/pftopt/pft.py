@@ -9,8 +9,12 @@ PFT v1 CSV layout::
     @sense,,<le|eq|ge>,...,<le|eq|ge>,
     @rhs,,<b-1>,...,<b-K>,
 
-Blank coefficient cells mean zero; blank lb/ub cells mean the kind's default
-bounds. Binary variables may not carry explicit bound cells.
+Blank coefficient, objective and rhs cells mean zero; a blank lb cell means 0
+and a blank ub cell means inf. Binary variables may not carry explicit bound
+cells; `MipProblem` clamps them into [0, 1] when the table is compiled.
+Coefficient, objective and rhs cells must be finite numbers; bound cells may
+be -inf/inf but not NaN. The parser checks each cell once and reports the
+first bad one by line and column.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ import enum
 import io
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .branch_bound import MipProblem, VarKind
-from .linprog import LinearProgram, MalformedProblemError, split_senses
+from .linprog import LinearProgram, split_senses
 
 __all__ = [
     "Pft",
@@ -48,46 +52,43 @@ class PftParseError(ValueError):
         self.column = column
 
 
-_KINDS = {"B": VarKind.BINARY, "I": VarKind.INTEGER, "C": VarKind.CONTINUOUS}
+_KINDS = {kind.value: kind for kind in VarKind}
 _SENSES = ("le", "eq", "ge")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pft:
+    """One formulation table in the arrays `LinearProgram` takes.
+
+    `names` and `kinds` hold one entry per variable (table row), and
+    `constraints` and `senses` one per constraint (CSV column). Row j of the
+    `len(constraints) x len(names)` matrix `A` is constraint column j, with
+    right-hand side `b[j]`. `c` is the objective, and `lo`/`hi` hold the
+    bounds with the defaults filled in: [0, inf) wherever a cell is blank or
+    the table has no `lb,ub` columns. `parse_pft` does every check; the
+    constructor takes the fields as given.
+    """
+
     title: str
     direction: str  # "min" | "max"
-    variables: tuple  # of (name, VarKind)
-    constraint_columns: tuple  # of (name, sense, coefficients tuple, rhs)
-    objective: tuple  # coefficient per variable
-    bounds: tuple | None = None  # per-variable (lb or None, ub or None)
+    names: tuple
+    kinds: tuple  # of VarKind
+    constraints: tuple
+    senses: tuple  # of "le" | "eq" | "ge"
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
-    def __post_init__(self) -> None:
-        n = len(self.variables)
-        names = [name for name, _ in self.variables]
-        if len(set(names)) != n:
-            raise MalformedProblemError("duplicate variable names in PFT")
-        if len(self.objective) != n:
-            raise MalformedProblemError("objective length must equal variable count")
-        con_names = [name for name, _, _, _ in self.constraint_columns]
-        if len(set(con_names)) != len(con_names):
-            raise MalformedProblemError("duplicate constraint column names")
-        for name, sense, coeffs, _ in self.constraint_columns:
-            if sense not in _SENSES:
-                raise MalformedProblemError(f"unknown sense {sense!r} in column {name}")
-            if len(coeffs) != n:
-                raise MalformedProblemError(f"column {name} length must equal variable count")
-        if self.bounds is not None:
-            if len(self.bounds) != n:
-                raise MalformedProblemError("bounds length must equal variable count")
-            for (name, kind), (lb, ub) in zip(self.variables, self.bounds):
-                if kind is VarKind.BINARY and (lb is not None or ub is not None):
-                    raise MalformedProblemError(
-                        f"binary variable {name} must not carry explicit bounds"
-                    )
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.variables)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Pft):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            for mine, theirs in pairs
+        )
 
 
 class AuditKind(enum.Enum):
@@ -111,21 +112,25 @@ class AuditReport:
     def __iter__(self):
         return iter(self.findings)
 
-    def kinds(self) -> set:
-        return {f.kind for f in self.findings}
-
 
 _PRAGMA = re.compile(r"^#PFT v1 dir=(min|max) title=(.*)$")
 
 
-def _parse_cell(cell: str, line_no: int, col_no: int) -> float:
+def _parse_cell(
+    cell: str, line_no: int, col_no: int, blank: float = 0.0, finite: bool = True
+) -> float:
+    """The number in one cell, `blank` if the cell is empty. NaN is never a
+    number here; with `finite`, neither is -inf or inf."""
     cell = cell.strip()
     if not cell:
-        return 0.0
+        return blank
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
-        raise PftParseError(f"cell {cell!r} is not numeric", line_no, col_no)
+        raise PftParseError(f"cell {cell!r} is not numeric", line_no, col_no) from None
+    if math.isnan(value) or (finite and math.isinf(value)):
+        raise PftParseError(f"cell {cell!r} is not a finite number", line_no, col_no)
+    return value
 
 
 def parse_pft(text: str) -> Pft:
@@ -147,18 +152,23 @@ def parse_pft(text: str) -> Pft:
     obj_pos = len(header) - 3 if has_bounds else len(header) - 1
     if header[obj_pos] != "obj":
         raise PftParseError("header must contain an 'obj' column", 2)
-    con_names = header[2:obj_pos]
-    k = len(con_names)
+    constraints = header[2:obj_pos]
+    k = len(constraints)
+    for j, name in enumerate(constraints):
+        if name in constraints[:j]:
+            raise PftParseError(f"duplicate constraint column name {name!r}", 2, 3 + j)
 
-    variables: list[tuple] = []
-    coeffs_by_var: list[list[float]] = []
+    names: list[str] = []
+    kinds: list[VarKind] = []
+    coeffs_by_var: list[float] = []  # row-major, k per variable
     objective: list[float] = []
-    bounds: list[tuple] = []
+    lo: list[float] = []
+    hi: list[float] = []
     senses: list[str] | None = None
     rhs: list[float] | None = None
+    seen: set = set()
 
-    for offset, row in enumerate(rows[1:], start=3):
-        line_no = offset  # pragma is line 1, header is line 2
+    for line_no, row in enumerate(rows[1:], start=3):  # pragma is line 1, header line 2
         if not row or all(not cell.strip() for cell in row):
             continue
         tag = row[0].strip()
@@ -186,85 +196,79 @@ def parse_pft(text: str) -> Pft:
         if kind_token not in _KINDS:
             raise PftParseError(f"unknown kind letter {kind_token!r}", line_no, 2)
         kind = _KINDS[kind_token]
-        if any(name == existing for existing, _ in variables):
+        if name in seen:
             raise PftParseError(f"duplicate variable name {name!r}", line_no, 1)
-        variables.append((name, kind))
-        coeffs_by_var.append(
-            [_parse_cell(cell, line_no, 3 + j) for j, cell in enumerate(row[2 : 2 + k])]
-        )
+        seen.add(name)
+        names.append(name)
+        kinds.append(kind)
+        coeffs_by_var += [
+            _parse_cell(cell, line_no, 3 + j) for j, cell in enumerate(row[2:obj_pos])
+        ]
         objective.append(_parse_cell(row[obj_pos], line_no, obj_pos + 1))
         if has_bounds:
-            lb_cell, ub_cell = row[-2].strip(), row[-1].strip()
-            if kind is VarKind.BINARY and (lb_cell or ub_cell):
+            lb_cell, ub_cell = row[-2], row[-1]
+            if kind is VarKind.BINARY and (lb_cell.strip() or ub_cell.strip()):
                 raise PftParseError(
                     f"binary variable {name!r} must not carry explicit bounds", line_no
                 )
-            lb_col = len(row) - 1
-            bounds.append(
-                (
-                    _parse_cell(lb_cell, line_no, lb_col) if lb_cell else None,
-                    _parse_cell(ub_cell, line_no, lb_col + 1) if ub_cell else None,
-                )
-            )
+            lo.append(_parse_cell(lb_cell, line_no, len(row) - 1, 0.0, finite=False))
+            hi.append(_parse_cell(ub_cell, line_no, len(row), math.inf, finite=False))
 
-    if not variables:
+    n = len(names)
+    if not n:
         raise PftParseError("no variable rows", 3)
     if k and senses is None:
         raise PftParseError("missing @sense line", len(lines))
     if k and rhs is None:
         raise PftParseError("missing @rhs line", len(lines))
 
-    columns = tuple(
-        (
-            con_names[j],
-            senses[j],
-            tuple(coeffs_by_var[i][j] for i in range(len(variables))),
-            rhs[j],
-        )
-        for j in range(k)
-    )
     return Pft(
         title=title,
         direction=direction,
-        variables=tuple(variables),
-        constraint_columns=columns,
-        objective=tuple(objective),
-        bounds=tuple(bounds) if has_bounds else None,
+        names=tuple(names),
+        kinds=tuple(kinds),
+        constraints=tuple(constraints),
+        senses=tuple(senses or ()),
+        A=np.array(coeffs_by_var, dtype=float).reshape(n, k).T,
+        b=np.array(rhs or (), dtype=float),
+        c=np.array(objective, dtype=float),
+        lo=np.array(lo, dtype=float) if has_bounds else np.zeros(n),
+        hi=np.array(hi, dtype=float) if has_bounds else np.full(n, math.inf),
     )
 
 
 def _fmt(value: float) -> str:
     if value == 0:
         return ""
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
     if value == int(value):
         return str(int(value))
     return repr(value)
 
 
 def render_pft(pft: Pft) -> str:
-    """Canonical rendering: render(parse(text)) re-parses to an equal Pft."""
+    """Canonical rendering: render(parse(text)) re-parses to an equal Pft.
+
+    The `lb,ub` columns are written only when some bound differs from
+    [0, inf), and a bound cell at its default is left blank."""
     out = io.StringIO()
     out.write(f"#PFT v1 dir={pft.direction} title={pft.title}\n")
     writer = csv.writer(out, lineterminator="\n")
-    con_names = [name for name, _, _, _ in pft.constraint_columns]
-    header = ["var", "kind"] + con_names + ["obj"]
-    if pft.bounds is not None:
-        header += ["lb", "ub"]
-    writer.writerow(header)
-    kind_letter = {v: key for key, v in _KINDS.items()}
-    for i, (name, kind) in enumerate(pft.variables):
-        row = [name, kind_letter[kind]]
-        row += [_fmt(col[2][i]) for col in pft.constraint_columns]
-        row.append(_fmt(pft.objective[i]) or "0")
-        if pft.bounds is not None:
-            lb, ub = pft.bounds[i]
-            row += ["" if lb is None else _fmt(lb) or "0", "" if ub is None else _fmt(ub) or "0"]
+    has_bounds = bool(np.any(pft.lo != 0) or np.any(pft.hi != math.inf))
+    bound_columns = ["lb", "ub"] if has_bounds else []
+    writer.writerow(["var", "kind", *pft.constraints, "obj", *bound_columns])
+    rows = zip(
+        pft.names, pft.kinds, pft.A.T.tolist(), pft.c.tolist(), pft.lo.tolist(), pft.hi.tolist()
+    )
+    for name, kind, coeffs, obj, lb, ub in rows:
+        row = [name, kind.value, *map(_fmt, coeffs), _fmt(obj) or "0"]
+        if has_bounds:
+            row += [_fmt(lb), "" if ub == math.inf else _fmt(ub) or "0"]
         writer.writerow(row)
-    if pft.constraint_columns:
-        writer.writerow(["@sense", ""] + [col[1] for col in pft.constraint_columns] + [""])
-        writer.writerow(
-            ["@rhs", ""] + [_fmt(col[3]) or "0" for col in pft.constraint_columns] + [""]
-        )
+    if pft.constraints:
+        writer.writerow(["@sense", "", *pft.senses, ""])
+        writer.writerow(["@rhs", "", *(_fmt(rhs) or "0" for rhs in pft.b.tolist()), ""])
     return out.getvalue()
 
 
@@ -273,66 +277,30 @@ def audit_pft(pft: Pft) -> AuditReport:
     masquerading as decisions, unconstrained variables, and simple bounds
     written as full rows."""
     findings: list[AuditFinding] = []
-    n = pft.num_vars
-    for name, sense, coeffs, _ in pft.constraint_columns:
-        nonzero = [c for c in coeffs if c != 0]
-        if not nonzero:
-            findings.append(
-                AuditFinding(
-                    AuditKind.ZERO_COLUMN,
-                    name,
-                    f"constraint {name} has all-zero coefficients (trivial constraint)",
-                )
-            )
-        elif sense == "eq" and len(nonzero) == 1 and nonzero[0] == 1:
-            findings.append(
-                AuditFinding(
-                    AuditKind.EQ_COLUMN_SINGLETON,
-                    name,
-                    f"equality {name} pins a single variable (a constant, not a variable)",
-                )
-            )
-        elif sense in ("le", "ge") and len(nonzero) == 1 and nonzero[0] == 1:
-            findings.append(
-                AuditFinding(
-                    AuditKind.UB_ROW_SINGLETON,
-                    name,
-                    f"inequality {name} is a simple bound on one variable",
-                )
-            )
-    for i in range(n):
-        if all(col[2][i] == 0 for col in pft.constraint_columns):
-            var_name = pft.variables[i][0]
-            findings.append(
-                AuditFinding(
-                    AuditKind.ZERO_ROW,
-                    var_name,
-                    f"variable {var_name} appears in no constraint (unconstrained)",
-                )
-            )
+    counts = np.count_nonzero(pft.A, axis=1).tolist()
+    totals = pft.A.sum(axis=1).tolist()  # the lone coefficient when counts[j] == 1
+    for name, sense, count, total in zip(pft.constraints, pft.senses, counts, totals):
+        if count == 0:
+            kind = AuditKind.ZERO_COLUMN
+            message = f"constraint {name} has all-zero coefficients (trivial constraint)"
+        elif count == 1 and total == 1 and sense == "eq":
+            kind = AuditKind.EQ_COLUMN_SINGLETON
+            message = f"equality {name} pins a single variable (a constant, not a variable)"
+        elif count == 1 and total == 1:
+            kind = AuditKind.UB_ROW_SINGLETON
+            message = f"inequality {name} is a simple bound on one variable"
+        else:
+            continue
+        findings.append(AuditFinding(kind, name, message))
+    for i in np.flatnonzero(~pft.A.any(axis=0)).tolist():
+        name = pft.names[i]
+        message = f"variable {name} appears in no constraint (unconstrained)"
+        findings.append(AuditFinding(AuditKind.ZERO_ROW, name, message))
     return AuditReport(findings=tuple(findings))
 
 
 def compile_pft(pft: Pft) -> MipProblem:
     """Lower a PFT into a MipProblem; audits are advisory and not re-run here."""
-    n = pft.num_vars
-    cols = pft.constraint_columns
-    A = np.array([coeffs for _, _, coeffs, _ in cols], dtype=float).reshape(len(cols), n)
-    b = np.array([rhs for _, _, _, rhs in cols], dtype=float)
-    A_eq, b_eq, A_ub, b_ub = split_senses(A, [sense for _, sense, _, _ in cols], b)
-    lo = np.zeros(n)
-    hi = np.full(n, math.inf)
-    for i, (lb, ub) in enumerate(pft.bounds or ()):
-        if lb is not None:
-            lo[i] = lb
-        if ub is not None:
-            hi[i] = ub
-        if lo[i] > hi[i]:
-            name = pft.variables[i][0]
-            raise MalformedProblemError(f"variable {name}: lower bound {lo[i]} exceeds {hi[i]}")
-    base = LinearProgram(pft.objective, A_eq, b_eq, A_ub, b_ub, lo, hi, pft.direction)
-    return MipProblem(
-        base=base,
-        kinds=tuple(kind for _, kind in pft.variables),
-        names=tuple(name for name, _ in pft.variables),
-    )
+    blocks = split_senses(pft.A, pft.senses, pft.b)
+    base = LinearProgram(pft.c, *blocks, pft.lo, pft.hi, pft.direction)
+    return MipProblem(base, pft.kinds, pft.names)

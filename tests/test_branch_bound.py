@@ -21,7 +21,7 @@ from pftopt.linprog import (
 
 def _mip(objective, rows, bounds, kinds, direction="min", names=None):
     rows = list(rows)
-    A = [a for a, _, _ in rows] if rows else np.zeros((0, len(objective)))
+    A = [a for a, _, _ in rows]
     blocks = split_senses(A, [sense for _, sense, _ in rows], [rhs for _, _, rhs in rows])
     lo, hi = zip(*bounds)
     base = LinearProgram(objective, *blocks, lo, hi, direction)

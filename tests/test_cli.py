@@ -106,6 +106,23 @@ class TestSolve:
         assert code == PARSE_ERROR
         assert "line 3, column 6" in err
 
+    @pytest.mark.parametrize("command", ["solve", "audit"])
+    @pytest.mark.parametrize(
+        "header, row, where",
+        [
+            ("var,kind,land,land,obj", "x1,C,1,1,3", "line 2, column 4"),
+            ("var,kind,land,obj", "x1,C,nan,3", "line 3, column 3"),
+            ("var,kind,land,obj,lb,ub", "x1,C,1,3,nan,", "line 3, column 5"),
+        ],
+        ids=["duplicate-column", "nan-coeff", "nan-lb"],
+    )
+    def test_bad_table_cell_exits_65(self, tmp_path, command, header, row, where):
+        path = tmp_path / "bad.pft.csv"
+        path.write_text(f"#PFT v1 dir=max title=t\n{header}\n{row}\n@sense,,le,le,\n@rhs,,9,9,\n")
+        code, _, err = _run([command, "--pft", str(path)])
+        assert code == PARSE_ERROR
+        assert where in err
+
     def test_missing_file_exits_64(self):
         code, _, _ = _run(["solve", "--pft", "/nonexistent.pft.csv"])
         assert code == USAGE_ERROR

@@ -19,7 +19,7 @@ from pftopt.linprog import (
 def _lp(objective, rows=(), bounds=None, direction="min"):
     """The LP over (coefficients, sense, rhs) rows and (lower, upper) bounds."""
     rows = list(rows)
-    A = [a for a, _, _ in rows] if rows else np.zeros((0, len(objective)))
+    A = [a for a, _, _ in rows]
     blocks = split_senses(A, [sense for _, sense, _ in rows], [rhs for _, _, rhs in rows])
     lo, hi = zip(*bounds) if bounds else (None, None)
     return LinearProgram(objective, *blocks, lo, hi, direction)
@@ -64,6 +64,15 @@ class TestValidation:
     def test_lower_above_upper(self):
         with pytest.raises(MalformedProblemError):
             _lp([1.0], bounds=[(2.0, 1.0)])
+
+    def test_empty_row_lists_mean_no_rows(self):
+        lp = LinearProgram([1.0, 2.0], *split_senses([], [], []))
+        assert lp.A_eq.shape == lp.A_ub.shape == (0, 2)
+        assert solve_lp(lp).status is Status.OPTIMAL
+
+    def test_empty_rows_with_a_rhs_rejected(self):
+        with pytest.raises(MalformedProblemError):
+            LinearProgram([1.0, 2.0], [], [1.0])
 
     def test_limits_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pftopt.branch_bound import VarKind, solve_mip
 from pftopt.linprog import MalformedProblemError, Status, solve_lp
@@ -36,18 +39,17 @@ class TestParse:
         table = parse_pft(SIMPLE)
         assert table.direction == "max"
         assert table.title == "two crops"
-        assert [name for name, _ in table.variables] == ["x1", "x2"]
-        assert [kind for _, kind in table.variables] == [VarKind.CONTINUOUS] * 2
-        assert len(table.constraint_columns) == 1
-        name, sense, coeffs, rhs = table.constraint_columns[0]
-        assert (name, sense, rhs) == ("land", "le", 10.0)
-        assert coeffs == (1.0, 1.0)
-        assert table.objective == (3.0, 2.0)
+        assert table.names == ("x1", "x2")
+        assert table.kinds == (VarKind.CONTINUOUS,) * 2
+        assert len(table.constraints) == 1
+        assert (table.constraints[0], table.senses[0], table.b[0]) == ("land", "le", 10.0)
+        assert table.A[0].tolist() == [1.0, 1.0]
+        assert table.c.tolist() == [3.0, 2.0]
 
     def test_blank_cells_become_zero(self):
         text = SIMPLE.replace("x2,C,1,2", "x2,C,,2")
         table = parse_pft(text)
-        assert table.constraint_columns[0][2] == (1.0, 0.0)
+        assert table.A[0].tolist() == [1.0, 0.0]
 
     def test_missing_pragma(self):
         with pytest.raises(PftParseError) as err:
@@ -72,21 +74,44 @@ class TestParse:
         with pytest.raises(PftParseError):
             parse_pft(SIMPLE.replace("x2,C,1,2", "x1,C,1,2"))
 
-    @pytest.mark.parametrize("row, column", [("x1,C,1,3,,abc", 6), ("x1,C,1,3,abc,", 5)])
+    @pytest.mark.parametrize(
+        "row, column",
+        [("x1,C,1,3,,abc", 6), ("x1,C,1,3,abc,", 5), ("x1,C,1,3,nan,", 5), ("x1,C,1,3,,nan", 6)],
+    )
     def test_non_numeric_bound_names_its_cell(self, row, column):
         with pytest.raises(PftParseError) as err:
             parse_pft(BOUNDED.format(row=row))
         assert (err.value.line, err.value.column) == (3, column)
 
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            (SIMPLE.replace("var,kind,land,obj", "var,kind,land,land,obj"), 2, 4),
+            (BOUNDED.format(row="x1,C,nan,3,,"), 3, 3),
+            (BOUNDED.format(row="x1,C,-inf,3,,"), 3, 3),
+            (BOUNDED.format(row="x1,C,1,inf,,"), 3, 4),
+            (BOUNDED.format(row="x1,C,1,3,,").replace("@rhs,,10,", "@rhs,,inf,"), 5, 3),
+        ],
+        ids=["duplicate-column", "nan-coef", "inf-coef", "inf-obj", "inf-rhs"],
+    )
+    def test_bad_cell_names_its_position(self, text, line, column):
+        with pytest.raises(PftParseError) as err:
+            parse_pft(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_infinite_bound_cells_are_valid(self):
+        table = parse_pft(BOUNDED.format(row="x1,C,1,3,-inf,inf"))
+        assert (table.lo.tolist(), table.hi.tolist()) == ([-math.inf], [math.inf])
+
     def test_blank_bound_cells_mean_the_default(self):
-        assert parse_pft(BOUNDED.format(row="x1,C,1,3,,4")).bounds == ((None, 4.0),)
+        table = parse_pft(BOUNDED.format(row="x1,C,1,3,,4"))
+        assert (table.lo.tolist(), table.hi.tolist()) == ([0.0], [4.0])
 
     def test_table3_shape(self, fixtures):
         table = parse_pft((fixtures / "shortest_path.pft.csv").read_text())
-        assert len(table.variables) == 12
-        assert len(table.constraint_columns) == 13
-        senses = [sense for _, sense, _, _ in table.constraint_columns]
-        assert senses == ["eq"] * 7 + ["le"] * 6
+        assert len(table.names) == 12
+        assert len(table.constraints) == 13
+        assert list(table.senses) == ["eq"] * 7 + ["le"] * 6
 
 
 class TestRoundTrip:
@@ -106,6 +131,83 @@ class TestRoundTrip:
     def test_simple_round_trips(self):
         table = parse_pft(SIMPLE)
         assert parse_pft(render_pft(table)) == table
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            BOUNDED.format(row="x1,C,1,1,-inf,"),
+            "#PFT v1 dir=min title=fractions\n"
+            "var,kind,a,b,obj,lb,ub\n"
+            "x1,C,2.5,-3.75,0.25,-3.75,\n"
+            "x2,I,0.25,,-2.5,,0.5\n"
+            "@sense,,le,ge,\n"
+            "@rhs,,0.25,-3.75,\n",
+        ],
+        ids=["free-variable", "fractions"],
+    )
+    def test_infinite_and_fractional_cells_round_trip(self, text):
+        table = parse_pft(text)
+        assert parse_pft(render_pft(table)) == table
+
+    def test_default_bounds_render_without_bound_columns(self):
+        table = parse_pft(BOUNDED.format(row="x1,C,1,3,0,"))
+        assert render_pft(table).splitlines()[1] == "var,kind,land,obj"
+
+
+# The derandomised profile of test_differential.py: every run checks the same tables.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+# Integers, halves and quarters; a blank cell means zero.
+CELL = st.just("") | st.integers(-12, 12).map(lambda q: f"{q / 4:g}")
+
+
+@st.composite
+def _bound_cells(draw):
+    """(lb, ub) cells: blank, finite, or the open side's infinity."""
+    lo = draw(st.just(-math.inf) | st.integers(-12, 12).map(lambda q: q / 4))
+    hi = draw(st.just(math.inf) | st.integers(-12, 12).map(lambda q: q / 4))
+    lo, hi = min(lo, hi), max(lo, hi)
+    blank_lo = lo == 0 and draw(st.booleans())
+    blank_hi = hi == math.inf and draw(st.booleans())
+    return ["" if blank_lo else f"{lo:g}", "" if blank_hi else f"{hi:g}"]
+
+
+@st.composite
+def _tables(draw):
+    """PFT text: 1-6 variables of every kind and 0-5 constraint columns of every sense."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    with_bounds = draw(st.booleans())
+    direction = draw(st.sampled_from(["min", "max"]))
+    header = ["var", "kind", *(f"r{j}" for j in range(k)), "obj"]
+    header += ["lb", "ub"] * with_bounds
+    lines = [f"#PFT v1 dir={direction} title=generated", ",".join(header)]
+    for i in range(n):
+        kind = draw(st.sampled_from("BIC"))
+        cells = [f"x{i}", kind] + [draw(CELL) for _ in range(k + 1)]
+        if with_bounds:
+            cells += ["", ""] if kind == "B" else draw(_bound_cells())
+        lines.append(",".join(cells))
+    if k:
+        senses = [draw(st.sampled_from(["le", "eq", "ge"])) for _ in range(k)]
+        lines.append(",".join(["@sense", "", *senses, ""]))
+        lines.append(",".join(["@rhs", "", *(draw(CELL) for _ in range(k)), ""]))
+    return "\n".join(lines) + "\n"
+
+
+@PROPERTY
+@given(_tables())
+def test_render_parse_round_trip(text):
+    table = parse_pft(text)
+    again = parse_pft(render_pft(table))
+    assert again == table
+    mine, theirs = compile_pft(table), compile_pft(again)
+    for field in ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi"):
+        assert np.array_equal(getattr(mine.base, field), getattr(theirs.base, field))
+    assert (mine.base.direction, mine.kinds, mine.names) == (
+        theirs.base.direction,
+        theirs.kinds,
+        theirs.names,
+    )
 
 
 class TestAudit:
