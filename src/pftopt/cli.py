@@ -1,22 +1,17 @@
 """Command-line front door.
 
-Subcommands load PFT/network/spatial files, build the matching model, solve
-it, and print a report (text by default, JSON behind --json). Exit codes:
-0 optimal/feasible, 2 infeasible, 3 unbounded, 64 usage error, 65 parse
-error, 1 anything else.
+Subcommands read PFT/network/spatial files (parsed and checked by `pft` and
+`spatial`), build the matching model, solve it, and print a report (text by
+default, JSON behind --json). Exit codes: 0 optimal/feasible, 2 infeasible,
+3 unbounded, 64 usage error, 65 parse error, 1 anything else.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import math
 import sys
 import time
-from dataclasses import dataclass
-
 
 from . import models, pft as pft_mod, spatial
 from .branch_bound import MipProblem, MipOutcome, solve_mip
@@ -40,71 +35,46 @@ _STATUS_EXIT = {
 }
 
 
-@dataclass
-class RunReport:
-    status_text: str
-    objective: float | None
-    nonzero: list  # (name, value), |value| > 1e-9 only
-    constraint_lines: list
-    nodes: int
-    iterations: int
-    wall_time_s: float | None = None
-
-    def to_text(self) -> str:
-        out = [f"status: {self.status_text}"]
-        if self.objective is not None:
-            out.append(f"objective: {_num(self.objective)}")
-        if self.nonzero:
-            out.append("variables:")
-            out.extend(f"  {name} = {_num(value)}" for name, value in self.nonzero)
-        out.extend(self.constraint_lines)
-        out.append(f"nodes: {self.nodes}")
-        out.append(f"iterations: {self.iterations}")
-        if self.wall_time_s is not None:
-            out.append(f"time_s: {self.wall_time_s:.3f}")
-        return "\n".join(out) + "\n"
-
-    def to_json(self) -> str:
-        doc = {
-            "status": self.status_text,
-            "objective": self.objective,
-            "variables": [{"name": n, "value": v} for n, v in self.nonzero],
-            "nodes": self.nodes,
-            "iterations": self.iterations,
-        }
-        return json.dumps(doc, indent=2) + "\n"
-
-
 def _num(value: float) -> str:
     if value == int(value):
         return str(int(value))
     return f"{value:g}"
 
 
-def _report(mip: MipProblem, outcome: MipOutcome, wall: float | None) -> RunReport:
-    nonzero = []
-    con_lines = []
-    objective = None
-    if outcome.x is not None:
-        x = outcome.x
-        nonzero = [
-            (mip.names[i], float(x[i])) for i in range(len(x)) if abs(x[i]) > 1e-9
-        ]
-        objective = float(outcome.objective_value)
+def _report(mip: MipProblem, outcome: MipOutcome, wall: float | None, as_json: bool) -> str:
+    """The report of one solve: status, objective, the variables with
+    |value| > 1e-9, and (text only) each row's activity and the wall time."""
+    status = _STATUS_TEXT[outcome.status]
+    x = outcome.x
+    objective = None if x is None else float(outcome.objective_value)
+    nonzero = [] if x is None else [
+        (name, float(value)) for name, value in zip(mip.names, x) if abs(value) > 1e-9
+    ]
+    if as_json:
+        doc = {
+            "status": status,
+            "objective": objective,
+            "variables": [{"name": n, "value": v} for n, v in nonzero],
+            "nodes": outcome.nodes_explored,
+            "iterations": outcome.iterations,
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    out = [f"status: {status}"]
+    if x is not None:
+        out.append(f"objective: {_num(objective)}")
+        if nonzero:
+            out.append("variables:")
+            out.extend(f"  {name} = {_num(value)}" for name, value in nonzero)
         base = mip.base
         for j, (lhs, rhs) in enumerate(zip((base.A_eq @ x).tolist(), base.b_eq.tolist())):
-            con_lines.append(f"eq[{j}]: {_num(lhs)} = {_num(rhs)}")
+            out.append(f"eq[{j}]: {_num(lhs)} = {_num(rhs)}")
         for j, (lhs, rhs) in enumerate(zip((base.A_ub @ x).tolist(), base.b_ub.tolist())):
-            con_lines.append(f"ub[{j}]: {_num(lhs)} <= {_num(rhs)}")
-    return RunReport(
-        status_text=_STATUS_TEXT[outcome.status],
-        objective=objective,
-        nonzero=nonzero,
-        constraint_lines=con_lines,
-        nodes=outcome.nodes_explored,
-        iterations=outcome.iterations,
-        wall_time_s=wall,
-    )
+            out.append(f"ub[{j}]: {_num(lhs)} <= {_num(rhs)}")
+    out.append(f"nodes: {outcome.nodes_explored}")
+    out.append(f"iterations: {outcome.iterations}")
+    if wall is not None:
+        out.append(f"time_s: {wall:.3f}")
+    return "\n".join(out) + "\n"
 
 
 def _read(path: str) -> str:
@@ -115,51 +85,8 @@ def _read(path: str) -> str:
         raise FileNotFoundError(f"cannot read {path}: {exc}") from exc
 
 
-def _maybe_int(token: str):
-    token = token.strip()
-    try:
-        return int(token)
-    except ValueError:
-        return token
-
-
-def load_network(path: str) -> models.Network:
-    """CSV with header tail,head,weight,capacity; blank capacity = +inf."""
-    rows = list(csv.reader(io.StringIO(_read(path))))
-    if not rows:
-        raise models.InputError(f"{path}: empty network file")
-    body = [row for row in rows[1:] if row and any(cell.strip() for cell in row)]
-    nodes: list = []
-    arcs = []
-    for row in body:
-        if len(row) < 3:
-            raise models.InputError(f"{path}: network rows need tail,head,weight[,capacity]")
-        tail, head = _maybe_int(row[0]), _maybe_int(row[1])
-        weight = float(row[2])
-        cap_cell = row[3].strip() if len(row) > 3 else ""
-        capacity = float(cap_cell) if cap_cell else math.inf
-        for node in (tail, head):
-            if node not in nodes:
-                nodes.append(node)
-        arcs.append((tail, head, weight, capacity))
-    return models.Network(node_ids=tuple(nodes), arcs=tuple(arcs))
-
-
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _square_matrix(d: models.DistanceMatrix) -> models.DistanceMatrix:
-    """Reorder columns so to_ids matches from_ids (tour/square inputs)."""
-    if d.is_square():
-        return d
-    if set(d.from_ids) != set(d.to_ids):
-        raise models.InputError("distance matrix is not square over one id set")
-    col = {t: j for j, t in enumerate(d.to_ids)}
-    rows = tuple(
-        tuple(d.d[i][col[t]] for t in d.from_ids) for i in range(len(d.from_ids))
-    )
-    return models.DistanceMatrix(from_ids=d.from_ids, to_ids=d.from_ids, d=rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,13 +189,13 @@ def _build_model(args) -> MipProblem | None:
     if cmd == "solve":
         return pft_mod.compile_pft(pft_mod.parse_pft(_read(args.pft)))
     if cmd == "shortest-path":
-        net = load_network(args.net)
-        return models.build_shortest_path(net, _maybe_int(args.source), _maybe_int(args.sink))
+        net = spatial.parse_network(_read(args.net))
+        return models.build_shortest_path(
+            net, spatial.node_id(args.source), spatial.node_id(args.sink)
+        )
     if cmd == "tour":
-        d = _square_matrix(
-            spatial.parse_distance_matrix(
-                _read(args.dist), args.from_col, args.to_col, args.dist_col
-            )
+        d = spatial.parse_distance_matrix(
+            _read(args.dist), args.from_col, args.to_col, args.dist_col
         )
         mip = models.build_tour(d)
         for spec in args.force_arc:
@@ -280,8 +207,8 @@ def _build_model(args) -> MipProblem | None:
         cost = _float_list(args.cost) if args.cost else [1.0] * len(adj.area_ids)
         return models.build_set_cover(adj, cost)
     if cmd == "flow-capture":
-        net = load_network(args.net)
-        s, t = _maybe_int(args.source), _maybe_int(args.sink)
+        net = spatial.parse_network(_read(args.net))
+        s, t = spatial.node_id(args.source), spatial.node_id(args.sink)
         flows = _float_list(args.flows) if args.flows else None
         ps = models.enumerate_st_paths(net, s, t, flows=flows)
         candidates = [n for n in net.node_ids if n not in (s, t)]
@@ -300,9 +227,9 @@ def _build_model(args) -> MipProblem | None:
             mode = models.FixedCapacity(_float_list(args.capacity))
         return models.build_transportation(cost, demand, mode)
     if cmd == "maxflow":
-        net = load_network(args.net)
+        net = spatial.parse_network(_read(args.net))
         return models.build_max_flow(
-            net, _maybe_int(args.source), _maybe_int(args.sink), sink_cap=args.sink_cap
+            net, spatial.node_id(args.source), spatial.node_id(args.sink), sink_cap=args.sink_cap
         )
     if cmd == "facility":
         cost = spatial.parse_distance_matrix(_read(args.cost))
@@ -380,8 +307,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         mip = _build_model(args)
         outcome = solve_mip(mip)
         wall = None if args.deterministic else time.perf_counter() - started
-        report = _report(mip, outcome, wall)
-        stdout.write(report.to_json() if args.json else report.to_text())
+        stdout.write(_report(mip, outcome, wall, args.json))
         return _STATUS_EXIT.get(outcome.status, 1)
     except (pft_mod.PftParseError, spatial.GalParseError, spatial.DistanceCsvError) as exc:
         stderr.write(f"parse error: {exc}\n")

@@ -117,6 +117,8 @@ def _checked_bounds(lo, hi, n: int) -> tuple:
         raise MalformedProblemError("bounds length must equal variable count")
     if np.isnan(lo).any() or np.isnan(hi).any():
         raise MalformedProblemError("bounds must not be NaN")
+    if np.isposinf(lo).any() or np.isneginf(hi).any():
+        raise MalformedProblemError("no value lies above a +inf lower or below a -inf upper bound")
     crossed = np.flatnonzero(lo > hi)
     if crossed.size:
         k = crossed[0]

@@ -4,11 +4,12 @@ into solvable mixed-integer problems.
 Each builder is a pure function returning a MipProblem; nothing here touches
 the solver. A builder fills dense numpy blocks (objective, equality rows,
 <= rows, bounds) and hands them to `LinearProgram`, which copies and checks
-them once. Bounds default to [0, inf); builders state only other bounds, and
-`MipProblem` clamps binary variables into [0, 1]. Variable names concatenate
-the ids of the underlying formulations (arc variables "X<i><j>", assignment
-variables "Y<i><j>", placement variables "X<j>"), so multi-digit ids can
-collide.
+them once. Distances come in as the checked array of a `DistanceMatrix`,
+indexed directly. Bounds default to [0, inf); builders state only other
+bounds, and `MipProblem` clamps binary variables into [0, 1]. Variable names
+concatenate the ids of the underlying formulations (arc variables "X<i><j>",
+assignment variables "Y<i><j>", placement variables "X<j>"), so multi-digit
+ids can collide.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class InputError(ValueError):
 
 @dataclass(frozen=True)
 class Network:
-    """Directed arc list; capacity may be math.inf for uncapacitated arcs."""
+    """Directed arc list; weights are finite and >= 0, capacities >= 0 and
+    math.inf for uncapacitated arcs."""
 
     node_ids: tuple
     arcs: tuple  # of (tail, head, weight, capacity)
@@ -71,37 +73,46 @@ class Network:
             seen.add((tail, head))
             weight = float(weight)
             capacity = float(capacity)
-            if weight < 0 or math.isnan(weight):
-                raise InputError(f"arc ({tail}, {head}) has negative weight")
-            if capacity < 0 or math.isnan(capacity):
-                raise InputError(f"arc ({tail}, {head}) has negative capacity")
+            if not 0 <= weight < math.inf:
+                raise InputError(f"arc ({tail}, {head}): weight {weight} must be finite, >= 0")
+            if not capacity >= 0:
+                raise InputError(f"arc ({tail}, {head}): capacity {capacity} must be >= 0")
             arcs.append((tail, head, weight, capacity))
         object.__setattr__(self, "node_ids", nodes)
         object.__setattr__(self, "arcs", tuple(arcs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
+    """Distances from each of `from_ids` (rows) to each of `to_ids` (columns).
+
+    `d` is a read-only float array of shape len(from_ids) x len(to_ids),
+    finite and non-negative, copied and checked once when the matrix is
+    made; rows may be given as any nested sequence of equal-length rows.
+    """
+
     from_ids: tuple
     to_ids: tuple
-    d: tuple  # row-major, one row per from_id
+    d: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(float(v) for v in row) for row in self.d)
-        if len(rows) != len(self.from_ids):
+        from_ids, to_ids = tuple(self.from_ids), tuple(self.to_ids)
+        try:
+            d = np.array(self.d, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError("distance matrix rows must be equal-length rows of numbers") from None
+        if d.shape == (0,):
+            d = d.reshape(0, len(to_ids))
+        if d.ndim != 2 or d.shape[0] != len(from_ids):
             raise InputError("distance matrix row count must match from_ids")
-        for row in rows:
-            if len(row) != len(self.to_ids):
-                raise InputError("distance matrix column count must match to_ids")
-            for v in row:
-                if v < 0 or not math.isfinite(v):
-                    raise InputError("distances must be finite and non-negative")
-        object.__setattr__(self, "from_ids", tuple(self.from_ids))
-        object.__setattr__(self, "to_ids", tuple(self.to_ids))
-        object.__setattr__(self, "d", rows)
-
-    def is_square(self) -> bool:
-        return self.from_ids == self.to_ids
+        if d.shape[1] != len(to_ids):
+            raise InputError("distance matrix column count must match to_ids")
+        if not (np.isfinite(d).all() and (d >= 0).all()):
+            raise InputError("distances must be finite and non-negative")
+        d.flags.writeable = False
+        object.__setattr__(self, "from_ids", from_ids)
+        object.__setattr__(self, "to_ids", to_ids)
+        object.__setattr__(self, "d", d)
 
 
 @dataclass(frozen=True)
@@ -193,12 +204,16 @@ def _tour_arc_names(n: int) -> list[tuple]:
 
 def build_tour(d: DistanceMatrix) -> MipProblem:
     """Minimum-cost closed tour with single-entry/single-exit degree rows and
-    MTZ ordering variables u_i (u_1 pinned to 1) to forbid subtours."""
-    if not d.is_square():
-        raise InputError("tour requires a square distance matrix")
-    n = len(d.from_ids)
+    MTZ ordering variables u_i (u_1 pinned to 1) to forbid subtours. The
+    matrix may list its columns in any order over the same ids as its rows."""
+    ids = d.from_ids
+    n = len(ids)
+    col = {t: j for j, t in enumerate(d.to_ids)}
+    if not (len(col) == len(d.to_ids) == n and col.keys() == set(ids)):
+        raise InputError("tour requires a square distance matrix over one id set")
     if n < 3:
         raise InputError("tour requires at least 3 nodes")
+    dist = d.d[:, [col[t] for t in ids]]  # columns in row order
     arc_pairs = _tour_arc_names(n)
     n_arcs = len(arc_pairs)
     n_total = n_arcs + n  # arcs then u_1..u_N
@@ -218,41 +233,28 @@ def build_tour(d: DistanceMatrix) -> MipProblem:
     A_ub[mtz, inner] = float(n)
 
     c = np.zeros(n_total)
-    c[:n_arcs] = np.array(d.d)[tails, heads]
+    c[:n_arcs] = dist[tails, heads]
     lo = np.zeros(n_total)
     hi = np.full(n_total, math.inf)
     lo[n_arcs], hi[n_arcs] = 1.0, 1.0
     lo[n_arcs + 1 :], hi[n_arcs + 1 :] = 2.0, float(n)
     base = LinearProgram(c, A_eq, np.ones(2 * n), A_ub, np.full(inner.size, float(n - 1)), lo, hi)
-    names = [f"X{d.from_ids[i - 1]}{d.to_ids[j - 1]}" for i, j in arc_pairs]
-    names += [f"U{node}" for node in d.from_ids]
+    names = [f"X{ids[i - 1]}{ids[j - 1]}" for i, j in arc_pairs]
+    names += [f"U{node}" for node in ids]
     return MipProblem(
         base=base, kinds=[VarKind.BINARY] * n_arcs + [VarKind.INTEGER] * n, names=names
     )
 
 
 def force_arc(mip: MipProblem, i, j) -> MipProblem:
-    """Return a copy of a tour problem with X_i_j pinned to 1 (sensitivity runs)."""
+    """Return a copy of a tour problem with X_i_j pinned to 1 through its lower
+    bound (sensitivity runs); the rows are shared with `mip`."""
     name = f"X{i}{j}"
     if name not in mip.names:
         raise InputError(f"arc {name} not in model")
-    pin = np.zeros(mip.num_vars)
-    pin[mip.names.index(name)] = 1.0
-    base = mip.base
-    return MipProblem(
-        base=LinearProgram(
-            base.c,
-            np.vstack([base.A_eq, pin]),
-            np.append(base.b_eq, 1.0),
-            base.A_ub,
-            base.b_ub,
-            base.lo,
-            base.hi,
-            base.direction,
-        ),
-        kinds=mip.kinds,
-        names=mip.names,
-    )
+    lo = mip.base.lo.copy()
+    lo[mip.names.index(name)] = 1.0
+    return MipProblem(base=mip.base.with_bounds(lo, mip.base.hi), kinds=mip.kinds, names=mip.names)
 
 
 def build_set_cover(adj: AdjacencySet, cost) -> MipProblem:
@@ -417,7 +419,7 @@ def build_service_coverage(d: DistanceMatrix, p: int) -> MipProblem:
     A_ub[:, :n_y] = np.eye(n_y)
     A_ub[np.arange(n_y), n_y + np.arange(n_y) // n_demand] = -1.0
     c = np.zeros(n)
-    c[:n_y] = np.array(d.d).T.ravel()
+    c[:n_y] = d.d.T.ravel()
     base = LinearProgram(c, A_eq, [1.0] * n_demand + [float(p)], A_ub, np.zeros(n_y))
     names = [
         f"Y{d.from_ids[i]}{d.to_ids[j]}" for j in range(m_cand) for i in range(n_demand)
@@ -455,7 +457,7 @@ def build_transportation(cost: DistanceMatrix, demand, supply_mode) -> MipProble
         raise InputError(f"unknown supply mode {supply_mode!r}")
     # X_ij at i * n_dem + j; demand rows meet each store, supply rows cap each supplier.
     base = LinearProgram(
-        np.array(cost.d).ravel(),
+        cost.d.ravel(),
         np.tile(np.eye(n_dem), m_sup),
         demand,
         np.kron(np.eye(m_sup), np.ones((1, n_dem))),
@@ -525,7 +527,7 @@ def build_facility_location(unit_cost: DistanceMatrix, fixed_cost, demand, capac
     A_ub = np.zeros((n_fac, n))  # linking: sum_j Y_ij - u_i X_i <= 0
     A_ub[:, :n_y] = np.kron(np.eye(n_fac), np.ones((1, m_store)))
     A_ub[np.arange(n_fac), n_y + np.arange(n_fac)] = [-u for u in capacity]
-    c = np.concatenate([np.array(unit_cost.d).ravel(), fixed_cost])
+    c = np.concatenate([unit_cost.d.ravel(), fixed_cost])
     base = LinearProgram(c, A_eq, demand, A_ub, np.zeros(n_fac))
     names = [
         f"Y{unit_cost.from_ids[i]}{unit_cost.to_ids[j]}"

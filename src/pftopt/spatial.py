@@ -1,6 +1,8 @@
 """Parsers and writers for the spatial artifacts the workflows exchange:
-GeoDA-style `.gal` contiguity weights, linear (from,to,distance) CSV matrices,
-great-circle distances, and two-column assignment CSVs."""
+GeoDA-style `.gal` contiguity weights, the two linear CSVs (from,to,distance
+matrices and tail,head,weight[,capacity] networks), great-circle distances,
+and two-column assignment CSVs. Every input file is read and checked here,
+once, into the checked form a builder takes."""
 
 from __future__ import annotations
 
@@ -10,7 +12,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .models import AdjacencySet, DistanceMatrix, InputError
+import numpy as np
+
+from .models import AdjacencySet, DistanceMatrix, InputError, Network
 
 __all__ = [
     "GalParseError",
@@ -21,6 +25,8 @@ __all__ = [
     "render_gal",
     "weights_to_pairs",
     "parse_distance_matrix",
+    "parse_network",
+    "node_id",
     "geodesic_miles",
     "write_assignment_csv",
 ]
@@ -35,7 +41,8 @@ class GalParseError(ValueError):
 
 
 class DistanceCsvError(ValueError):
-    pass
+    """A linear CSV (a from,to,distance matrix or a tail,head,weight[,capacity]
+    network) that cannot be read; the message names the line where one applies."""
 
 
 @dataclass(frozen=True)
@@ -153,51 +160,86 @@ def weights_to_pairs(weights: SpatialWeights) -> AdjacencySet:
     return AdjacencySet(area_ids=areas + extra, pairs=frozenset(pairs))
 
 
+def _csv_rows(text: str):
+    """(line number, cells) of each data row of a linear CSV: the header row
+    and blank rows are skipped."""
+    rows = csv.reader(io.StringIO(text))
+    if next(rows, None) is None:
+        raise DistanceCsvError("empty file")
+    for line_no, row in enumerate(rows, start=2):
+        if any(cell.strip() for cell in row):
+            yield line_no, row
+
+
+def _measure(cell: str, what: str, line_no: int, inf_ok: bool = False) -> float:
+    """A non-negative number cell, +inf only where `inf_ok`."""
+    cell = cell.strip()
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DistanceCsvError(f"line {line_no}: {what} {cell!r} is not numeric") from None
+    if not (value >= 0 and (inf_ok or value < math.inf)):
+        need = "non-negative" if inf_ok else "finite and non-negative"
+        raise DistanceCsvError(f"line {line_no}: {what} {cell!r} must be {need}")
+    return value
+
+
 def parse_distance_matrix(
     text: str, from_col: int = 0, to_col: int = 1, dist_col: int = 2
 ) -> DistanceMatrix:
     """Densify a linear (from,to,distance) CSV with a header row into a
-    DistanceMatrix; ids keep first-appearance order."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise DistanceCsvError("empty file")
-    body = rows[1:]
-    entries: dict = {}
-    from_ids: list = []
-    to_ids: list = []
-    for line_no, row in enumerate(body, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    DistanceMatrix; ids keep first-appearance order and every pair must
+    appear exactly once."""
+    row_of: dict = {}  # from id -> row, in first-appearance order
+    col_of: dict = {}  # to id -> column
+    entries: dict = {}  # (row, column) -> distance
+    for line_no, row in _csv_rows(text):
         try:
-            f = row[from_col].strip()
-            t = row[to_col].strip()
-            dist_cell = row[dist_col].strip()
+            f, t, cell = row[from_col].strip(), row[to_col].strip(), row[dist_col]
         except IndexError:
-            raise DistanceCsvError(f"line {line_no}: missing column")
-        try:
-            dist = float(dist_cell)
-        except ValueError:
-            raise DistanceCsvError(f"line {line_no}: distance {dist_cell!r} is not numeric")
-        if dist < 0:
-            raise DistanceCsvError(f"line {line_no}: negative distance for ({f}, {t})")
-        if (f, t) in entries:
-            raise DistanceCsvError(f"duplicate (from, to) pair ({f}, {t})")
-        entries[(f, t)] = dist
-        if f not in from_ids:
-            from_ids.append(f)
-        if t not in to_ids:
-            to_ids.append(t)
+            raise DistanceCsvError(f"line {line_no}: missing column") from None
+        dist = _measure(cell, "distance", line_no)
+        key = (row_of.setdefault(f, len(row_of)), col_of.setdefault(t, len(col_of)))
+        if key in entries:
+            raise DistanceCsvError(f"line {line_no}: duplicate (from, to) pair ({f}, {t})")
+        entries[key] = dist
     if not entries:
         raise DistanceCsvError("no data rows")
-    matrix = []
-    for f in from_ids:
-        row_vals = []
-        for t in to_ids:
-            if (f, t) not in entries:
-                raise DistanceCsvError(f"missing (from, to) pair ({f}, {t})")
-            row_vals.append(entries[(f, t)])
-        matrix.append(tuple(row_vals))
-    return DistanceMatrix(from_ids=tuple(from_ids), to_ids=tuple(to_ids), d=tuple(matrix))
+    from_ids, to_ids = tuple(row_of), tuple(col_of)
+    d = np.full((len(from_ids), len(to_ids)), math.nan)  # NaN marks a missing pair
+    d[tuple(zip(*entries))] = list(entries.values())
+    missing = np.argwhere(np.isnan(d))  # row-major order
+    if missing.size:
+        i, j = missing[0]
+        raise DistanceCsvError(f"missing (from, to) pair ({from_ids[i]}, {to_ids[j]})")
+    return DistanceMatrix(from_ids=from_ids, to_ids=to_ids, d=d)
+
+
+def node_id(token: str):
+    """A network node id as written: an int where the token is one, else the
+    stripped text."""
+    token = token.strip()
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
+def parse_network(text: str) -> Network:
+    """Network from a CSV with header tail,head,weight[,capacity]; a blank or
+    inf capacity means uncapacitated, and nodes keep first-appearance order."""
+    nodes: dict = {}  # insertion-ordered set
+    arcs = []
+    for line_no, row in _csv_rows(text):
+        if len(row) < 3:
+            raise DistanceCsvError(f"line {line_no}: rows need tail,head,weight[,capacity]")
+        tail, head = node_id(row[0]), node_id(row[1])
+        weight = _measure(row[2], "weight", line_no)
+        cap = row[3] if len(row) > 3 else ""
+        capacity = _measure(cap, "capacity", line_no, inf_ok=True) if cap.strip() else math.inf
+        nodes.update(dict.fromkeys((tail, head)))
+        arcs.append((tail, head, weight, capacity))
+    return Network(node_ids=tuple(nodes), arcs=tuple(arcs))
 
 
 def geodesic_miles(a: GeoPoint, b: GeoPoint) -> float:

@@ -123,6 +123,14 @@ class TestSolve:
         assert code == PARSE_ERROR
         assert where in err
 
+    @pytest.mark.parametrize("bounds", ["inf,", ",-inf"], ids=["lb-inf", "ub-minus-inf"])
+    def test_bound_admitting_no_value_exits_64(self, tmp_path, bounds):
+        path = tmp_path / "empty.pft.csv"
+        path.write_text(f"#PFT v1 dir=min title=t\nvar,kind,obj,lb,ub\nx,C,1,{bounds}\n")
+        code, out, err = _run(["solve", "--pft", str(path)])
+        assert code == USAGE_ERROR
+        assert out == "" and "error:" in err
+
     def test_missing_file_exits_64(self):
         code, _, _ = _run(["solve", "--pft", "/nonexistent.pft.csv"])
         assert code == USAGE_ERROR
@@ -225,6 +233,25 @@ class TestNetworkCommands:
         assert code == 0
         assert "objective: 4" in out
         assert "X2" in out
+
+
+    @pytest.mark.parametrize(
+        "command, row, message",
+        [
+            ("shortest-path", "1,2,abc,", "line 3: weight 'abc' is not numeric"),
+            ("maxflow", "1,2", "line 3: rows need tail,head,weight[,capacity]"),
+            ("flow-capture", "1,2,nan,", "line 3: weight 'nan' must be finite and non-negative"),
+            ("maxflow", "1,2,1,-4", "line 3: capacity '-4' must be non-negative"),
+        ],
+        ids=["non-numeric-weight", "short-row", "nan-weight", "negative-capacity"],
+    )
+    def test_bad_network_row_exits_65(self, tmp_path, command, row, message):
+        net = tmp_path / "net.csv"
+        net.write_text(f"tail,head,weight,capacity\n2,3,1,\n{row}\n")
+        extra = ["--placements", "1"] if command == "flow-capture" else []
+        code, out, err = _run([command, "--net", str(net), "--source", "1", "--sink", "3"] + extra)
+        assert code == PARSE_ERROR
+        assert out == "" and err == f"parse error: {message}\n"
 
 
 class TestSpatialCommands:
@@ -337,6 +364,17 @@ class TestTableCommands:
         code, out, _ = _run(["service", "--dist", str(dist), "--open", "1"])
         assert code == 0
         assert "objective: 10" in out
+
+    @pytest.mark.parametrize(
+        "command, cell", [(["service", "--open", "1"], "nan"), (["tour"], "inf")],
+        ids=["service-nan", "tour-inf"],
+    )
+    def test_bad_distance_cell_exits_65(self, tmp_path, command, cell):
+        dist = tmp_path / "dist.csv"
+        dist.write_text(f"from,to,dist\n1,1,0\n1,2,{cell}\n2,1,5\n2,2,0\n")
+        code, out, err = _run([command[0], "--dist", str(dist)] + command[1:])
+        assert code == PARSE_ERROR
+        assert out == "" and f"line 3: distance '{cell}' must be finite" in err
 
     def test_tour_with_force_arc(self, tmp_path):
         dist = tmp_path / "square.csv"

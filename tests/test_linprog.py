@@ -268,6 +268,16 @@ class TestArrayForm:
         with pytest.raises(MalformedProblemError):
             self._lp().with_bounds([0.0, 0.0], [math.nan, 2.0])
 
+    @pytest.mark.parametrize(
+        "lo, hi", [([0.0, math.inf], [1.0, math.inf]), ([-math.inf, 0.0], [-math.inf, 1.0])],
+        ids=["lb-plus-inf", "ub-minus-inf"],
+    )
+    def test_infinite_bound_on_the_wrong_side_rejected(self, lo, hi):
+        with pytest.raises(MalformedProblemError):
+            LinearProgram([1.0, 2.0], lo=lo, hi=hi)
+        with pytest.raises(MalformedProblemError):
+            self._lp().with_bounds(lo, hi)
+
     def test_with_bounds_rejects_wrong_length(self):
         with pytest.raises(MalformedProblemError):
             self._lp().with_bounds([0.0], [1.0])

@@ -5,6 +5,7 @@ import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from pftopt import models
@@ -87,6 +88,52 @@ class TestNetworkValidation:
     def test_negative_weight(self):
         with pytest.raises(InputError):
             Network(node_ids=(1, 2), arcs=((1, 2, -1.0, 1.0),))
+
+    @pytest.mark.parametrize(
+        "weight, capacity, message",
+        [
+            (math.nan, 1.0, "weight nan must be finite, >= 0"),
+            (math.inf, 1.0, "weight inf must be finite, >= 0"),
+            (1.0, math.nan, "capacity nan must be >= 0"),
+        ],
+        ids=["nan-weight", "inf-weight", "nan-capacity"],
+    )
+    def test_non_finite_weight_or_nan_capacity(self, weight, capacity, message):
+        with pytest.raises(InputError, match=message):
+            Network(node_ids=(1, 2), arcs=((1, 2, weight, capacity),))
+
+
+class TestDistanceMatrixForm:
+    def test_rows_become_a_read_only_array(self):
+        dm = DistanceMatrix(from_ids=[1, 2], to_ids=[1, 2, 3], d=[(0, 1, 2), (1, 0, 3)])
+        assert dm.from_ids == (1, 2) and dm.to_ids == (1, 2, 3)
+        assert dm.d.dtype == float and dm.d.tolist() == [[0, 1, 2], [1, 0, 3]]
+        with pytest.raises(ValueError):
+            dm.d[0, 0] = 5.0
+
+    def test_constructor_copies_its_array(self):
+        rows = np.array([[0.0, 1.0], [1.0, 0.0]])
+        dm = DistanceMatrix(from_ids=(1, 2), to_ids=(1, 2), d=rows)
+        rows[0, 1] = 9.0
+        assert dm.d[0, 1] == 1.0
+
+    @pytest.mark.parametrize(
+        "rows",
+        [((0, 1), (1,)), ((0, 1),), ((0, 1, 2), (1, 0, 3)), ((0, "x"), (1, 0))],
+        ids=["ragged", "too-few-rows", "too-many-columns", "not-a-number"],
+    )
+    def test_malformed_rows_rejected(self, rows):
+        with pytest.raises(InputError):
+            DistanceMatrix(from_ids=(1, 2), to_ids=(1, 2), d=rows)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_rejected(self, value):
+        with pytest.raises(InputError, match="finite and non-negative"):
+            DistanceMatrix(from_ids=(1, 2), to_ids=(1, 2), d=((0, value), (1, 0)))
+
+    def test_empty_matrix(self):
+        dm = DistanceMatrix(from_ids=(), to_ids=(1, 2), d=())
+        assert dm.d.shape == (0, 2)
 
 
 class TestShortestPath:
@@ -237,8 +284,42 @@ class TestTour:
         mip = models.force_arc(models.force_arc(models.build_tour(dm), 2, 3), 2, 4)
         assert solve_mip(mip).status is Status.INFEASIBLE
 
+    def test_forced_model_shares_the_rows(self):
+        d = _random_symmetric(random.Random(8), 4)
+        ids = (1, 2, 3, 4)
+        mip = models.build_tour(DistanceMatrix(from_ids=ids, to_ids=ids, d=d))
+        forced = models.force_arc(mip, 2, 3)
+        for name in ("c", "A_eq", "b_eq", "A_ub", "b_ub"):
+            assert getattr(forced.base, name) is getattr(mip.base, name), name
+        assert np.array_equal(forced.base.hi, mip.base.hi)
+        pinned = mip.names.index("X23")
+        assert forced.base.lo[pinned] == 1.0 and mip.base.lo[pinned] == 0.0
+        assert np.array_equal(np.delete(forced.base.lo, pinned), np.delete(mip.base.lo, pinned))
+
+    def test_columns_in_any_order(self):
+        d = _random_symmetric(random.Random(21), 5)
+        ids = ("a", "b", "c", "d", "e")
+        order = [3, 0, 4, 2, 1]
+        shuffled = DistanceMatrix(
+            from_ids=ids, to_ids=[ids[k] for k in order], d=[[row[k] for k in order] for row in d]
+        )
+        expected = models.build_tour(DistanceMatrix(from_ids=ids, to_ids=ids, d=d))
+        got = models.build_tour(shuffled)
+        assert got.names == expected.names
+        for name in ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi"):
+            assert np.array_equal(getattr(got.base, name), getattr(expected.base, name)), name
+
     def test_non_square_rejected(self):
         dm = DistanceMatrix(from_ids=(1, 2), to_ids=(1, 2, 3), d=((0, 1, 2), (1, 0, 3)))
+        with pytest.raises(InputError):
+            models.build_tour(dm)
+
+    @pytest.mark.parametrize(
+        "from_ids, to_ids", [((1, 2, 3), (1, 2, 4)), ((1, 2, 3), (1, 2, 2))],
+        ids=["other-ids", "repeated-id"],
+    )
+    def test_different_id_sets_rejected(self, from_ids, to_ids):
+        dm = DistanceMatrix(from_ids=from_ids, to_ids=to_ids, d=np.ones((3, 3)))
         with pytest.raises(InputError):
             models.build_tour(dm)
 

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import random
+import re
 
 import pytest
 
@@ -14,8 +15,10 @@ from pftopt.spatial import (
     GalParseError,
     GeoPoint,
     geodesic_miles,
+    node_id,
     parse_distance_matrix,
     parse_gal,
+    parse_network,
     render_gal,
     weights_to_pairs,
     write_assignment_csv,
@@ -86,13 +89,13 @@ class TestDistanceMatrix:
         d = parse_distance_matrix(text)
         assert d.from_ids == ("1", "2")
         assert d.to_ids == ("1", "2")
-        assert d.d == ((0.0, 5.0), (5.0, 0.0))
+        assert d.d.tolist() == [[0.0, 5.0], [5.0, 0.0]]
 
     def test_column_selection(self):
         text = "a,junk,b,dist\n1,zz,2,7\n2,zz,1,7\n1,zz,1,0\n2,zz,2,0\n"
         d = parse_distance_matrix(text, from_col=0, to_col=2, dist_col=3)
         assert d.to_ids == ("2", "1")  # first-appearance order
-        assert d.d == ((7.0, 0.0), (0.0, 7.0))
+        assert d.d.tolist() == [[7.0, 0.0], [0.0, 7.0]]
 
     def test_duplicate_pair_rejected(self):
         text = "f,t,d\n1,2,3\n1,2,4\n"
@@ -118,6 +121,70 @@ class TestDistanceMatrix:
         d = parse_distance_matrix("\n".join(rows) + "\n")
         assert d.from_ids == ("a", "b")
         assert d.to_ids == ("10", "20", "30")
+
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("abc", "line 3: distance 'abc' is not numeric"),
+            ("nan", "line 3: distance 'nan' must be finite and non-negative"),
+            ("inf", "line 3: distance 'inf' must be finite and non-negative"),
+            ("-2", "line 3: distance '-2' must be finite and non-negative"),
+        ],
+    )
+    def test_bad_distance_cell_names_its_line(self, cell, message):
+        text = f"f,t,d\n1,1,0\n1,2,{cell}\n2,1,5\n2,2,0\n"
+        with pytest.raises(DistanceCsvError, match=f"^{message}$"):
+            parse_distance_matrix(text)
+
+    def test_first_missing_pair_in_row_major_order(self):
+        text = "f,t,d\n1,1,0\n2,3,1\n2,1,5\n"  # (1, 3), (2, 2) are missing
+        with pytest.raises(DistanceCsvError, match=r"^missing \(from, to\) pair \(1, 3\)$"):
+            parse_distance_matrix(text)
+
+    def test_duplicate_pair_names_its_line(self):
+        with pytest.raises(DistanceCsvError, match="^line 4: duplicate"):
+            parse_distance_matrix("f,t,d\n1,2,3\n\n1,2,4\n")
+
+    @pytest.mark.parametrize("text", ["", "f,t,d\n", "f,t,d\n\n , ,\n"])
+    def test_no_data_rejected(self, text):
+        with pytest.raises(DistanceCsvError):
+            parse_distance_matrix(text)
+
+
+class TestParseNetwork:
+    def test_road_fixture(self, fixtures):
+        net = parse_network((fixtures / "intercity_road.net.csv").read_text())
+        assert net.node_ids == (1, 2, 3, 4, 5, 6, 7)
+        assert net.arcs[0] == (1, 2, 688.0, math.inf)
+        assert len(net.arcs) == 12
+
+    def test_ids_capacities_and_blank_rows(self):
+        text = "tail,head,weight,capacity\nb, 7 ,2,inf\n\n7,a,0,3\na,b,1\n"
+        net = parse_network(text)
+        assert net.node_ids == ("b", 7, "a")
+        assert net.arcs == (("b", 7, 2.0, math.inf), (7, "a", 0.0, 3.0), ("a", "b", 1.0, math.inf))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,2,abc", "line 3: weight 'abc' is not numeric"),
+            ("1,2", "line 3: rows need tail,head,weight[,capacity]"),
+            ("1,2,nan", "line 3: weight 'nan' must be finite and non-negative"),
+            ("1,2,inf", "line 3: weight 'inf' must be finite and non-negative"),
+            ("1,2,-1", "line 3: weight '-1' must be finite and non-negative"),
+            ("1,2,1,-1", "line 3: capacity '-1' must be non-negative"),
+            ("1,2,1,nan", "line 3: capacity 'nan' must be non-negative"),
+            ("1,2,1,big", "line 3: capacity 'big' is not numeric"),
+        ],
+    )
+    def test_bad_row_names_its_line(self, row, message):
+        with pytest.raises(DistanceCsvError, match=f"^{re.escape(message)}$"):
+            parse_network(f"tail,head,weight,capacity\n2,3,1,\n{row}\n")
+
+    def test_node_id(self):
+        assert node_id(" 12 ") == 12
+        assert node_id(" A1 ") == "A1"
 
 
 class TestGeodesic:
