@@ -1,7 +1,7 @@
 """Formulation-table toolkit: a simplex + branch-and-bound MILP solver with
 builders for classic network, covering, and logistics models."""
 
-from .branch_bound import BranchDecision, MipOutcome, MipProblem, VarKind, branch, solve_mip
+from .branch_bound import MipOutcome, MipProblem, VarKind, branch, solve_mip
 from .linprog import (
     LinearProgram,
     LpOutcome,
@@ -22,7 +22,6 @@ __all__ = [
     "MipProblem",
     "MipOutcome",
     "VarKind",
-    "BranchDecision",
     "branch",
     "solve_mip",
     "Pft",

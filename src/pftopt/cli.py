@@ -85,8 +85,15 @@ def _read(path: str) -> str:
         raise FileNotFoundError(f"cannot read {path}: {exc}") from exc
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _float_list(text: str, option: str) -> list[float]:
+    """The numbers of a comma-separated option value; blank items are skipped."""
+    values = []
+    for tok in filter(None, (tok.strip() for tok in text.split(","))):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise models.InputError(f"{option}: {tok!r} is not a number") from None
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,17 +206,19 @@ def _build_model(args) -> MipProblem | None:
         )
         mip = models.build_tour(d)
         for spec in args.force_arc:
-            i, j = (tok.strip() for tok in spec.split(","))
-            mip = models.force_arc(mip, i, j)
+            ends = [tok.strip() for tok in spec.split(",")]
+            if len(ends) != 2 or not all(ends):
+                raise models.InputError(f"--force-arc expects I,J, got {spec!r}")
+            mip = models.force_arc(mip, *ends)
         return mip
     if cmd == "cover":
         adj = spatial.weights_to_pairs(spatial.parse_gal(_read(args.gal)))
-        cost = _float_list(args.cost) if args.cost else [1.0] * len(adj.area_ids)
+        cost = _float_list(args.cost, "--cost") if args.cost else [1.0] * len(adj.area_ids)
         return models.build_set_cover(adj, cost)
     if cmd == "flow-capture":
         net = spatial.parse_network(_read(args.net))
         s, t = spatial.node_id(args.source), spatial.node_id(args.sink)
-        flows = _float_list(args.flows) if args.flows else None
+        flows = _float_list(args.flows, "--flows") if args.flows else None
         ps = models.enumerate_st_paths(net, s, t, flows=flows)
         candidates = [n for n in net.node_ids if n not in (s, t)]
         return models.build_flow_capture(ps, candidates, args.placements)
@@ -218,13 +227,13 @@ def _build_model(args) -> MipProblem | None:
         return models.build_service_coverage(d, args.open_count)
     if cmd == "transport":
         cost = spatial.parse_distance_matrix(_read(args.cost))
-        demand = _float_list(args.demand)
+        demand = _float_list(args.demand, "--demand")
         if args.design_capacity:
             mode = models.DesignCapacity()
         else:
             if not args.capacity:
                 raise models.InputError("--capacity required unless --design-capacity")
-            mode = models.FixedCapacity(_float_list(args.capacity))
+            mode = models.FixedCapacity(_float_list(args.capacity, "--capacity"))
         return models.build_transportation(cost, demand, mode)
     if cmd == "maxflow":
         net = spatial.parse_network(_read(args.net))
@@ -234,7 +243,10 @@ def _build_model(args) -> MipProblem | None:
     if cmd == "facility":
         cost = spatial.parse_distance_matrix(_read(args.cost))
         return models.build_facility_location(
-            cost, _float_list(args.fixed), _float_list(args.demand), _float_list(args.capacity)
+            cost,
+            _float_list(args.fixed, "--fixed"),
+            _float_list(args.demand, "--demand"),
+            _float_list(args.capacity, "--capacity"),
         )
     raise AssertionError(cmd)
 

@@ -224,18 +224,13 @@ def split_senses(A, senses, b) -> tuple:
     return A[eq], b[eq], flip[:, None] * A[~eq], flip * b[~eq]
 
 
-# Nonbasic variable rests at one of its bounds (or at zero when free).
-_AT_LOWER = 0
-_AT_UPPER = 1
-_FREE = 2
-
-
-def _run_simplex(A, c, lo, hi, basis, rest, x, limits, iteration, stall_after):
+def _run_simplex(A, c, lo, hi, basis, x, limits, iteration, stall_after):
     """Minimize c.x over Ax = b, lo <= x <= hi from the basic solution x.
 
-    `basis` holds one column index per row; `rest` marks every column's
-    nonbasic rest position (entries for basic columns are ignored). Mutates
-    basis/rest/x in place. Returns (status, iterations), where iterations
+    `basis` holds one column index per row. Every nonbasic x equals one of
+    its bounds exactly, or zero when the column is free, so x alone says
+    where a nonbasic column sits: at its upper bound iff x == hi. Mutates
+    basis and x in place. Returns (status, iterations), where iterations
     goes on from `iteration` and counts every pivot made: OPTIMAL,
     ITERATION_LIMIT, UNBOUNDED on an unblocked improving ray, or NUMERICAL
     on a singular basis.
@@ -243,6 +238,7 @@ def _run_simplex(A, c, lo, hi, basis, rest, x, limits, iteration, stall_after):
     m, n_total = A.shape
     opt_tol = limits.optimality_tol
     feas_tol = limits.feasibility_tol
+    free = np.isneginf(lo) & np.isposinf(hi)
     bland = False
     stall = 0
     last_obj = math.inf
@@ -256,13 +252,11 @@ def _run_simplex(A, c, lo, hi, basis, rest, x, limits, iteration, stall_after):
         except np.linalg.LinAlgError:
             return Status.NUMERICAL, iteration
         d = c[nonbasic] - A[:, nonbasic].T @ y
-        # Entering candidates: at-lower (or free) columns want d < 0, at-upper
-        # columns want d > 0. Fixed columns (lo == hi) never enter.
-        gaps = hi[nonbasic] - lo[nonbasic]
-        at_lower = rest[nonbasic] != _AT_UPPER
-        is_free = rest[nonbasic] == _FREE
-        viol = np.where(is_free, np.abs(d), np.where(at_lower, -d, d))
-        viol[gaps <= 0] = -math.inf
+        # Entering candidates: at-lower columns want d < 0, at-upper columns
+        # want d > 0, free ones either. Fixed columns (lo == hi) never enter.
+        hi_n = hi[nonbasic]
+        viol = np.where(free[nonbasic], np.abs(d), np.where(x[nonbasic] == hi_n, d, -d))
+        viol[hi_n - lo[nonbasic] <= 0] = -math.inf
         eligible = np.nonzero(viol > opt_tol)[0]
         if eligible.size == 0:
             return Status.OPTIMAL, iteration
@@ -271,10 +265,7 @@ def _run_simplex(A, c, lo, hi, basis, rest, x, limits, iteration, stall_after):
         else:
             k = eligible[np.argmax(viol[eligible])]
         j_in = int(nonbasic[k])
-        if rest[j_in] == _FREE:
-            sigma = 1.0 if d[k] < 0 else -1.0
-        else:
-            sigma = 1.0 if rest[j_in] != _AT_UPPER else -1.0
+        sigma = 1.0 if d[k] < 0 else -1.0
 
         try:
             w = np.linalg.solve(B, A[:, j_in])
@@ -301,14 +292,11 @@ def _run_simplex(A, c, lo, hi, basis, rest, x, limits, iteration, stall_after):
         x[j_in] += sigma * t
         x[basis] += rate * t
         if leave_pos < 0:
-            # Entering variable ran to its opposite bound: rest flip only.
-            rest[j_in] = _AT_UPPER if rest[j_in] == _AT_LOWER else _AT_LOWER
-            x[j_in] = hi[j_in] if rest[j_in] == _AT_UPPER else lo[j_in]
+            # Entering variable ran to its opposite bound: a bound flip.
+            x[j_in] = hi[j_in] if sigma > 0 else lo[j_in]
         else:
             j_out = basis[leave_pos]
-            to_upper = rate[leave_pos] > 0
-            x[j_out] = hi[j_out] if to_upper else lo[j_out]
-            rest[j_out] = _AT_UPPER if to_upper else _AT_LOWER
+            x[j_out] = hi[j_out] if rate[leave_pos] > 0 else lo[j_out]
             basis[leave_pos] = j_in
         iteration += 1
         obj = float(c @ x)
@@ -345,11 +333,9 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     lo = np.concatenate([lp.lo, np.zeros(m_ub)])
     hi = np.concatenate([lp.hi, np.full(m_ub, math.inf)])
 
-    # Every column rests at its finite lower bound, else its finite upper
+    # Every column starts at its finite lower bound, else its finite upper
     # bound, else (free) at zero.
-    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-    rest = np.where(has_lo, _AT_LOWER, np.where(has_hi, _AT_UPPER, _FREE))
-    x = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
     residual = b - A @ x
     # A slack that can absorb its row's residual starts basic; every other
     # row gets an artificial column of its own.
@@ -365,14 +351,13 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     lo = np.concatenate([lo, np.zeros(n_art)])
     hi = np.concatenate([hi, np.full(n_art, math.inf)])
     x = np.concatenate([x, np.abs(residual[needy])])
-    rest = np.concatenate([rest, np.full(n_art, _AT_LOWER)])
 
     # Phase 1 drives the artificials to zero. Its objective is bounded below,
     # so an unbounded ray there is a numerical failure.
     stall_after = 3 * (m + n_cols)
     scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
     c1 = np.concatenate([np.zeros(n_cols), np.ones(n_art)])
-    status, iters = _run_simplex(A, c1, lo, hi, basis, rest, x, limits, 0, stall_after)
+    status, iters = _run_simplex(A, c1, lo, hi, basis, x, limits, 0, stall_after)
     if status is Status.UNBOUNDED:
         status = Status.NUMERICAL
     if status is Status.OPTIMAL and float(c1 @ x) > limits.feasibility_tol * scale:
@@ -385,7 +370,7 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     hi[n_cols:] = 0.0
     x[n_cols:] = 0.0
     c2 = np.concatenate([sign * lp.c, np.zeros(m_ub + n_art)])
-    status, iters = _run_simplex(A, c2, lo, hi, basis, rest, x, limits, iters, stall_after)
+    status, iters = _run_simplex(A, c2, lo, hi, basis, x, limits, iters, stall_after)
     if status is not Status.OPTIMAL:
         return LpOutcome(status=status, iterations=iters)
     x = x[:n].copy()

@@ -165,6 +165,13 @@ class PathSet:
         object.__setattr__(self, "flow", flows)
 
 
+def _check_amounts(values, ids, what: str) -> None:
+    """Each of `values` (one per id) must be finite and non-negative."""
+    for ident, value in zip(ids, values):
+        if not 0 <= value < math.inf:
+            raise InputError(f"{what} {ident} must be finite and non-negative, got {value:g}")
+
+
 def _incidence(net: Network) -> np.ndarray:
     """Node-arc incidence, one row per node in node_ids order: +1 where an
     arc enters the node, -1 where it leaves."""
@@ -321,6 +328,8 @@ def build_flow_capture(ps: PathSet, candidates, p: int) -> MipProblem:
     """Place p facilities on candidate nodes to maximize the captured path
     flow; a path counts iff at least one placed node lies on it."""
     candidates = tuple(candidates)
+    if p < 0:
+        raise InputError(f"p must be >= 0, got {p}")
     if p > len(candidates):
         raise InputError("p exceeds the candidate count")
     if ps.source in candidates or ps.sink in candidates:
@@ -388,6 +397,8 @@ def min_colors(adj: AdjacencySet, max_colors: int) -> MinColorsResult:
     from .branch_bound import solve_mip  # looked up per call, so a rebinding takes effect
     from .linprog import Status
 
+    if max_colors < 1:
+        raise InputError(f"max_colors must be >= 1, got {max_colors}")
     areas = adj.area_ids
     n_areas = len(areas)
     for k in range(1, max_colors + 1):
@@ -407,6 +418,8 @@ def build_service_coverage(d: DistanceMatrix, p: int) -> MipProblem:
     demand row to exactly one open server, minimizing total distance."""
     n_demand = len(d.from_ids)
     m_cand = len(d.to_ids)
+    if p < 0:
+        raise InputError(f"p must be >= 0, got {p}")
     if p > m_cand:
         raise InputError("p exceeds the candidate count")
     n_y = n_demand * m_cand  # Y_ij at j * n_demand + i (candidate-major blocks)
@@ -447,10 +460,12 @@ def build_transportation(cost: DistanceMatrix, demand, supply_mode) -> MipProble
     demand = [float(v) for v in demand]
     if len(demand) != n_dem:
         raise InputError("one demand per store required")
+    _check_amounts(demand, cost.to_ids, "demand of store")
     if isinstance(supply_mode, FixedCapacity):
         caps = supply_mode.capacities
         if len(caps) != m_sup:
             raise InputError("one capacity per supplier required")
+        _check_amounts(caps, cost.from_ids, "capacity of supplier")
     elif isinstance(supply_mode, DesignCapacity):
         caps = tuple(sum(demand) for _ in range(m_sup))
     else:
@@ -477,6 +492,8 @@ def build_max_flow(net: Network, s, t, sink_cap: float | None = None) -> MipProb
         raise InputError("source and sink must differ")
     if s not in net.node_ids or t not in net.node_ids:
         raise InputError("source or sink not in network")
+    if sink_cap is not None and not 0 <= sink_cap < math.inf:
+        raise InputError(f"sink_cap must be finite and non-negative, got {sink_cap:g}")
     arcs = net.arcs
     inc = _incidence(net)
     inner = [k for k, node in enumerate(net.node_ids) if node not in (s, t)]
@@ -517,6 +534,8 @@ def build_facility_location(unit_cost: DistanceMatrix, fixed_cost, demand, capac
         raise InputError("one fixed cost and capacity per facility required")
     if len(demand) != m_store:
         raise InputError("one demand per store required")
+    _check_amounts(demand, unit_cost.to_ids, "demand of store")
+    _check_amounts(capacity, unit_cost.from_ids, "capacity of facility")
     if sum(capacity) < sum(demand):
         raise InputError("total capacity below total demand")
     n_y = n_fac * m_store  # Y_ij at i * m_store + j, then X_i

@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
@@ -407,7 +408,7 @@ def _solution_satisfies(mip, x, tol=1e-6):
     for lo, hi, v in zip(lp.lo, lp.hi, x):
         if v < lo - tol or v > hi + tol:
             return False
-    for i in mip.integer_indices():
+    for i in np.flatnonzero(mip.integer):
         if abs(x[i] - round(x[i])) > tol:
             return False
     return True

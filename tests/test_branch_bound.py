@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pftopt import branch_bound, models
 from pftopt.branch_bound import MipProblem, VarKind, branch, solve_mip
@@ -44,6 +46,35 @@ def _outcome(x):
     )
 
 
+def _sequential_branch(x, mip, tol=1e-6):
+    """The loop `branch` replaced, kept as its reference: a later variable
+    wins only if it is closer to one half by more than 1e-12."""
+    best_idx, best_dist = None, math.inf
+    for i in np.flatnonzero(mip.integer):
+        frac = x[i] - math.floor(x[i])
+        if min(frac, 1.0 - frac) <= tol:
+            continue
+        dist = abs(frac - 0.5)
+        if dist < best_dist - 1e-12:
+            best_idx, best_dist = int(i), dist
+    return best_idx
+
+
+@st.composite
+def _near_ties(draw):
+    """Values k/8 moved by at most 4e-13, with a random integer mask. Ties
+    are frequent, and each tie cluster spans less than 1e-12, where the
+    sequential rule and the array rule agree."""
+    n = draw(st.integers(1, 10))
+    x = [
+        draw(st.integers(-24, 24)) / 8 + draw(st.floats(-4e-13, 4e-13))
+        for _ in range(n)
+    ]
+    integer = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    kinds = [VarKind.INTEGER if flag else VarKind.CONTINUOUS for flag in integer]
+    return np.array(x), _mip([1.0] * n, [], [(-5.0, 5.0)] * n, kinds)
+
+
 class TestBranchRule:
     def test_integral_point_is_terminal(self):
         mip = _binary_mip([1.0, 1.0], [])
@@ -51,15 +82,12 @@ class TestBranchRule:
 
     def test_most_fractional_wins(self):
         mip = _binary_mip([1.0, 1.0], [])
-        decision = branch(_outcome([0.5, 0.9]), mip)
-        assert decision.index == 0
-        assert decision.floor_value == 0.0
-        assert decision.ceil_value == 1.0
+        assert branch(_outcome([0.5, 0.9]), mip) == 0
 
     def test_fractionality_tie_breaks_to_lowest_index(self):
         mip = _binary_mip([1.0, 1.0], [])
-        decision = branch(_outcome([0.4, 0.6]), mip)
-        assert decision.index == 0
+        for x in ([0.4, 0.6], [0.5 + 1e-13, 0.5], [0.5, 0.5 + 1e-13]):
+            assert branch(_outcome(x), mip) == 0, x
 
     def test_continuous_variables_never_branched(self):
         mip = _mip(
@@ -68,8 +96,13 @@ class TestBranchRule:
             [(0.0, 1.0), (0.0, 1.0)],
             [VarKind.CONTINUOUS, VarKind.BINARY],
         )
-        decision = branch(_outcome([0.5, 0.4]), mip)
-        assert decision.index == 1
+        assert branch(_outcome([0.5, 0.4]), mip) == 1
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(_near_ties())
+    def test_agrees_with_the_sequential_rule(self, case):
+        x, mip = case
+        assert branch(_outcome(x), mip) == _sequential_branch(x, mip)
 
     def test_requires_optimal_relaxation(self):
         mip = _binary_mip([1.0], [])
@@ -341,6 +374,8 @@ class TestNodeAccounting:
         assert out.status is Status.OPTIMAL
         assert len(calls) == out.nodes_explored > 2
         root = mip.base
+        first = calls[0][0]
+        assert np.array_equal(first.lo, root.lo) and np.array_equal(first.hi, root.hi)
         for lp, _ in calls:
             assert lp.c is root.c
             assert lp.A_eq is root.A_eq and lp.b_eq is root.b_eq

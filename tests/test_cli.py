@@ -392,3 +392,50 @@ class TestTableCommands:
         code, out, _ = _run(["tour", "--dist", str(dist), "--force-arc", "1,3"])
         assert code == 0
         assert "objective: 10" not in out
+
+
+class TestArgumentErrors:
+    """Out-of-range counts, bad amounts and malformed option values exit 64
+    with a message naming the bad item."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, fixtures):
+        two = tmp_path / "two.csv"
+        two.write_text("from,to,cost\n1,1,0\n1,2,2\n2,1,2\n2,2,0\n")
+        tour = tmp_path / "tour.csv"
+        tour.write_text("from,to,dist\n" + "".join(
+            f"{i},{j},{0 if i == j else i + j}\n" for i in range(1, 5) for j in range(1, 5)))
+        return {"two": str(two), "tour": str(tour), "gal": str(fixtures / "demo.gal"),
+                "net": str(fixtures / "capacitated.net.csv")}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["service", "--dist", "{two}", "--open", "-1"], "p must be >= 0, got -1"),
+            (["color", "--gal", "{gal}", "--max-colors", "0"], "max_colors must be >= 1, got 0"),
+            (["maxflow", "--net", "{net}", "--source", "1", "--sink", "7", "--sink-cap", "-1"],
+             "sink_cap must be finite and non-negative, got -1"),
+            (["transport", "--cost", "{two}", "--demand=-3,-3", "--capacity", "9,9"],
+             "demand of store 1 must be finite and non-negative, got -3"),
+            (["transport", "--cost", "{two}", "--demand", "3,3", "--capacity=9,-9"],
+             "capacity of supplier 2 must be finite and non-negative, got -9"),
+            (["facility", "--cost", "{two}", "--demand", "3,3", "--capacity=-5,20",
+              "--fixed", "1,1"], "capacity of facility 1 must be finite and non-negative, got -5"),
+            (["facility", "--cost", "{two}", "--demand", "3,3", "--capacity", "9,9",
+              "--fixed", "20,x"], "--fixed: 'x' is not a number"),
+            (["transport", "--cost", "{two}", "--demand", "3,y", "--design-capacity"],
+             "--demand: 'y' is not a number"),
+            (["tour", "--dist", "{tour}", "--force-arc", "1"], "--force-arc expects I,J, got '1'"),
+            (["tour", "--dist", "{tour}", "--force-arc", "1,2,3"],
+             "--force-arc expects I,J, got '1,2,3'"),
+            (["tour", "--dist", "{tour}", "--force-arc", "1,"], "--force-arc expects I,J, got '1,'"),
+        ],
+        ids=["open-negative", "max-colors-zero", "sink-cap-negative", "demand-negative",
+             "capacity-negative", "facility-capacity-negative", "fixed-not-a-number",
+             "demand-not-a-number", "force-arc-one-end", "force-arc-three-ends",
+             "force-arc-blank-end"],
+    )
+    def test_exits_64_naming_the_item(self, inputs, argv, message):
+        code, out, err = _run([arg.format(**inputs) for arg in argv])
+        assert code == USAGE_ERROR
+        assert out == "" and err == f"error: {message}\n"

@@ -467,6 +467,10 @@ class TestFlowCapture:
         with pytest.raises(InputError):
             models.build_flow_capture(self.PS, (2, 3), 3)
 
+    def test_negative_p_rejected(self):
+        with pytest.raises(InputError, match="p must be >= 0, got -1"):
+            models.build_flow_capture(self.PS, (2, 3), -1)
+
 
 def _chromatic_oracle(areas, pairs):
     """Smallest K admitting a proper coloring, by backtracking."""
@@ -528,6 +532,11 @@ class TestColoring:
         assert not result.found
         assert result.max_tried == 2
 
+    def test_max_colors_below_one_rejected(self):
+        adj = _adjacency([(1, 2)], (1, 2))
+        with pytest.raises(InputError, match="max_colors must be >= 1, got 0"):
+            models.min_colors(adj, 0)
+
 
 def _service_oracle(d, p):
     n, m = len(d), len(d[0])
@@ -570,6 +579,11 @@ class TestServiceCoverage:
         with pytest.raises(InputError):
             models.build_service_coverage(dm, 3)
 
+    def test_negative_p_rejected(self):
+        dm = DistanceMatrix(from_ids=(1,), to_ids=(1, 2), d=((1, 2),))
+        with pytest.raises(InputError, match="p must be >= 0, got -1"):
+            models.build_service_coverage(dm, -1)
+
 
 class TestTransportation:
     COST = DistanceMatrix(from_ids=("A", "B"), to_ids=(1, 2, 3, 4, 5), d=SHIP_COST)
@@ -608,6 +622,22 @@ class TestTransportation:
     def test_demand_length_checked(self):
         with pytest.raises(InputError):
             models.build_transportation(self.COST, [1, 2], FixedCapacity([10, 10]))
+
+    @pytest.mark.parametrize(
+        "demand, mode, message",
+        [
+            ([-3, -3, 1, 1, 1], FixedCapacity([1000, 3200]), "demand of store 1 .* got -3"),
+            ([-3, -3, 1, 1, 1], DesignCapacity(), "demand of store 1 .* got -3"),
+            ([1, 1, math.nan, 1, 1], FixedCapacity([1000, 3200]), "demand of store 3 .* got nan"),
+            (STORE_DEMAND, FixedCapacity([1000, -5]), "capacity of supplier B .* got -5"),
+            (STORE_DEMAND, FixedCapacity([math.inf, 3200]), "capacity of supplier A .* got inf"),
+        ],
+        ids=["negative-demand", "negative-demand-design", "nan-demand", "negative-capacity",
+             "infinite-capacity"],
+    )
+    def test_negative_or_non_finite_amount_rejected(self, demand, mode, message):
+        with pytest.raises(InputError, match=message):
+            models.build_transportation(self.COST, demand, mode)
 
 
 class TestMaxFlow:
@@ -668,6 +698,12 @@ class TestMaxFlow:
         net = Network(node_ids=(1, 2), arcs=((1, 2, 1.0, 1.0),))
         with pytest.raises(InputError):
             models.build_max_flow(net, 1, 1)
+
+    @pytest.mark.parametrize("sink_cap", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_sink_cap_rejected(self, sink_cap):
+        net = Network(node_ids=(1, 2), arcs=((1, 2, 1.0, 1.0),))
+        with pytest.raises(InputError, match="sink_cap must be finite and non-negative"):
+            models.build_max_flow(net, 1, 2, sink_cap=sink_cap)
 
 
 def _facility_oracle(unit_cost, fixed, demand, capacity):
@@ -746,3 +782,19 @@ class TestFacilityLocation:
         cost = DistanceMatrix(from_ids=(1,), to_ids=(1,), d=((1.0,),))
         with pytest.raises(InputError):
             models.build_facility_location(cost, [1.0], [5.0], [2.0])
+
+    @pytest.mark.parametrize(
+        "demand, capacity, message",
+        [
+            ([4, 6], [-5, 20], "capacity of facility 1 .* got -5"),
+            ([4, 6], [10, math.nan], "capacity of facility 2 .* got nan"),
+            ([4, -6], [10, 20], "demand of store 2 .* got -6"),
+            ([math.inf, 6], [10, 20], "demand of store 1 .* got inf"),
+        ],
+        ids=["negative-capacity", "nan-capacity", "negative-demand", "infinite-demand"],
+    )
+    def test_negative_or_non_finite_amount_rejected(self, demand, capacity, message):
+        # With capacities [-5, 20] the model used to solve OPTIMAL with facility 1 closed.
+        cost = DistanceMatrix(from_ids=(1, 2), to_ids=(1, 2), d=((2.0, 3.0), (1.0, 1.0)))
+        with pytest.raises(InputError, match=message):
+            models.build_facility_location(cost, [1.0, 1.0], demand, capacity)
