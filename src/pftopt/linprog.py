@@ -13,17 +13,27 @@ working problem is an equality system over bounded columns. Every column
 starts at its finite lower bound, else its finite upper bound, else (free) at
 zero. An inequality row whose slack can absorb the start's residual starts
 with that slack basic; only the other rows (every equality row, and every
-inequality row the start violates) get an artificial column. Phase 1 drives
-the artificials to zero; phase 2 pins them there and minimizes the true
-objective (negated for max).
+inequality row the start violates) get an artificial column. The residual is
+computed from the problem's own rows first, so the count of artificials is
+known and the working matrix [A_eq; A_ub | I | artificials] is made in one
+allocation. Phase 1 drives the artificials to zero; phase 2 pins them there
+and minimizes the true objective (negated for max).
 
-One primal simplex loop runs both phases and returns a status instead of
-raising: OPTIMAL, ITERATION_LIMIT (max_iterations pivots over both phases),
-UNBOUNDED on an improving ray that no bound blocks, or NUMERICAL on a singular
-basis. Phase 1 is bounded below, so an unbounded ray there is reported as
-NUMERICAL; a phase 1 that ends with artificials above tolerance gives
-INFEASIBLE. `LpOutcome.iterations` counts every pivot made, whatever the
-status.
+One revised primal simplex loop runs both phases and returns a status
+instead of raising: OPTIMAL, ITERATION_LIMIT (max_iterations pivots over both
+phases), UNBOUNDED on an improving ray that no bound blocks, or NUMERICAL on
+a singular basis. Phase 1 is bounded below, so an unbounded ray there is
+reported as NUMERICAL; a phase 1 that ends with artificials above tolerance
+gives INFEASIBLE. Before OPTIMAL is returned, the point must solve the
+working form: each row to within feasibility_tol times the larger of the
+rhs scale and the row's term size, each bound to within feasibility_tol
+times the rhs scale; else the status is NUMERICAL. `LpOutcome.iterations`
+counts every pivot made, whatever the status.
+
+The loop keeps the basis inverse explicitly. It is factorised afresh when
+each phase starts and after every 50 basis changes; a pivot in between
+updates it with one rank-1 (product-form) correction, so a pivot costs
+matrix-vector products, O(m * (m + n)), rather than dense solves, O(m^3).
 
 Pricing takes the largest reduced-cost violation, or the lowest column index
 (Bland) once more than 3 (m_eq + n + 2 m_ub) pivots in a row made no
@@ -224,6 +234,11 @@ def split_senses(A, senses, b) -> tuple:
     return A[eq], b[eq], flip[:, None] * A[~eq], flip * b[~eq]
 
 
+# Basis changes between refactorisations of the kept basis inverse: each
+# rank-1 update adds roundoff, and a fresh inverse costs about m updates.
+_REFACTOR_EVERY = 50
+
+
 def _run_simplex(A, c, lo, hi, basis, x, limits, iteration, stall_after):
     """Minimize c.x over Ax = b, lo <= x <= hi from the basic solution x.
 
@@ -234,6 +249,13 @@ def _run_simplex(A, c, lo, hi, basis, x, limits, iteration, stall_after):
     goes on from `iteration` and counts every pivot made: OPTIMAL,
     ITERATION_LIMIT, UNBOUNDED on an unblocked improving ray, or NUMERICAL
     on a singular basis.
+
+    The loop keeps the basis inverse Binv. It is factorised afresh on entry
+    and after every _REFACTOR_EVERY basis changes; in between, a pivot on
+    row r updates it in product form (row r of Binv divided by w[r], and a
+    rank-1 correction of the other rows), so a pivot costs matrix-vector
+    products only: the duals y = c_B Binv and the entering column
+    w = Binv A_j.
     """
     m, n_total = A.shape
     opt_tol = limits.optimality_tol
@@ -242,16 +264,23 @@ def _run_simplex(A, c, lo, hi, basis, x, limits, iteration, stall_after):
     bland = False
     stall = 0
     last_obj = math.inf
+    Binv = None
+    updates = _REFACTOR_EVERY
     while iteration < limits.max_iterations:
+        if updates == _REFACTOR_EVERY:
+            Binv = None  # let the old inverse go before inv allocates the new one
+            try:
+                Binv = np.linalg.inv(A[:, basis])
+            except np.linalg.LinAlgError:
+                return Status.NUMERICAL, iteration
+            updates = 0
         in_basis = np.zeros(n_total, dtype=bool)
         in_basis[basis] = True
         nonbasic = np.flatnonzero(~in_basis)
-        B = A[:, basis]
-        try:
-            y = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError:
-            return Status.NUMERICAL, iteration
-        d = c[nonbasic] - A[:, nonbasic].T @ y
+        y = c[basis] @ Binv
+        # Pricing over the full width costs one n-vector; gathering
+        # A[:, nonbasic] first would copy most of A at every pivot.
+        d = (c - y @ A)[nonbasic]
         # Entering candidates: at-lower columns want d < 0, at-upper columns
         # want d > 0, free ones either. Fixed columns (lo == hi) never enter.
         hi_n = hi[nonbasic]
@@ -267,10 +296,7 @@ def _run_simplex(A, c, lo, hi, basis, x, limits, iteration, stall_after):
         j_in = int(nonbasic[k])
         sigma = 1.0 if d[k] < 0 else -1.0
 
-        try:
-            w = np.linalg.solve(B, A[:, j_in])
-        except np.linalg.LinAlgError:
-            return Status.NUMERICAL, iteration
+        w = Binv @ A[:, j_in]
         # x_B moves at rate -sigma*w as the entering variable moves by t >= 0.
         # Each basic variable blocks at the bound it heads to; one that barely
         # moves (|rate| <= feas_tol) never blocks.
@@ -298,6 +324,10 @@ def _run_simplex(A, c, lo, hi, basis, x, limits, iteration, stall_after):
             j_out = basis[leave_pos]
             x[j_out] = hi[j_out] if rate[leave_pos] > 0 else lo[j_out]
             basis[leave_pos] = j_in
+            row = Binv[leave_pos] / w[leave_pos]
+            Binv -= np.outer(w, row)
+            Binv[leave_pos] = row
+            updates += 1
         iteration += 1
         obj = float(c @ x)
         if obj < last_obj - opt_tol:
@@ -309,6 +339,19 @@ def _run_simplex(A, c, lo, hi, basis, x, limits, iteration, stall_after):
             if stall > stall_after:
                 bland = True
     return Status.ITERATION_LIMIT, iteration
+
+
+def _primal_feasible(A, b, lo, hi, x, feas_tol: float, scale: float) -> bool:
+    """Whether x solves the working form A x = b, lo <= x <= hi: no bound
+    violated by more than feas_tol * scale, and no row off by more than
+    feas_tol times the larger of scale and the row's term size
+    sum_j |A_ij x_j|, which bounds the roundoff of A_i x. The simplex moves
+    x step by step, so a drifted basis inverse shows here before a wrong
+    point is called optimal."""
+    size = np.maximum(scale, np.abs(A) @ np.abs(x))
+    if (np.abs(A @ x - b) > feas_tol * size).any():
+        return False
+    return bool(np.maximum(lo - x, x - hi).max(initial=0.0) <= feas_tol * scale)
 
 
 def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
@@ -323,34 +366,33 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     sign = -1.0 if lp.direction == "max" else 1.0
     m_eq, m_ub = lp.b_eq.size, lp.b_ub.size
     m, n_cols = m_eq + m_ub, n + m_ub
-
-    # Inequality row m_eq + k owns slack column n + k.
-    A = np.zeros((m, n_cols))
-    A[:m_eq, :n] = lp.A_eq
-    A[m_eq:, :n] = lp.A_ub
-    A[m_eq:, n:] = np.eye(m_ub)
     b = np.concatenate([lp.b_eq, lp.b_ub])
-    lo = np.concatenate([lp.lo, np.zeros(m_ub)])
-    hi = np.concatenate([lp.hi, np.full(m_ub, math.inf)])
 
-    # Every column starts at its finite lower bound, else its finite upper
-    # bound, else (free) at zero.
-    x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    residual = b - A @ x
+    # Every variable starts at its finite lower bound, else its finite upper
+    # bound, else (free) at zero; every slack starts at zero.
+    start = np.where(np.isfinite(lp.lo), lp.lo, np.where(np.isfinite(lp.hi), lp.hi, 0.0))
+    residual = b - np.concatenate([lp.A_eq @ start, lp.A_ub @ start])
     # A slack that can absorb its row's residual starts basic; every other
     # row gets an artificial column of its own.
     absorbs = (np.arange(m) >= m_eq) & (residual >= 0)
-    basis = np.arange(m) + (n - m_eq)  # each inequality row's slack column
-    x[basis[absorbs]] = residual[absorbs]
     needy = np.flatnonzero(~absorbs)
     n_art = needy.size
-    basis[needy] = n_cols + np.arange(n_art)
-    art_cols = np.zeros((m, n_art))
-    art_cols[needy, np.arange(n_art)] = np.where(residual[needy] >= 0, 1.0, -1.0)
-    A = np.hstack([A, art_cols])
-    lo = np.concatenate([lo, np.zeros(n_art)])
-    hi = np.concatenate([hi, np.full(n_art, math.inf)])
-    x = np.concatenate([x, np.abs(residual[needy])])
+    arts = n_cols + np.arange(n_art)
+
+    # The working form [A_eq; A_ub | I | artificials], made in one
+    # allocation: inequality row m_eq + k owns slack column n + k, and row
+    # needy[k] owns artificial column n_cols + k.
+    A = np.zeros((m, n_cols + n_art))
+    A[:m_eq, :n] = lp.A_eq
+    A[m_eq:, :n] = lp.A_ub
+    A[np.arange(m_eq, m), np.arange(n, n_cols)] = 1.0
+    A[needy, arts] = np.where(residual[needy] >= 0, 1.0, -1.0)
+    lo = np.concatenate([lp.lo, np.zeros(m_ub + n_art)])
+    hi = np.concatenate([lp.hi, np.full(m_ub + n_art, math.inf)])
+    x = np.concatenate([start, np.zeros(m_ub), np.abs(residual[needy])])
+    basis = np.arange(m) + (n - m_eq)  # each inequality row's slack column
+    x[basis[absorbs]] = residual[absorbs]
+    basis[needy] = arts
 
     # Phase 1 drives the artificials to zero. Its objective is bounded below,
     # so an unbounded ray there is a numerical failure.
@@ -371,6 +413,10 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     x[n_cols:] = 0.0
     c2 = np.concatenate([sign * lp.c, np.zeros(m_ub + n_art)])
     status, iters = _run_simplex(A, c2, lo, hi, basis, x, limits, iters, stall_after)
+    if status is Status.OPTIMAL and not _primal_feasible(
+        A, b, lo, hi, x, limits.feasibility_tol, scale
+    ):
+        status = Status.NUMERICAL
     if status is not Status.OPTIMAL:
         return LpOutcome(status=status, iterations=iters)
     x = x[:n].copy()

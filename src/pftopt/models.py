@@ -272,8 +272,9 @@ def build_set_cover(adj: AdjacencySet, cost) -> MipProblem:
     cost = [float(c) for c in cost]
     if len(cost) != n:
         raise InputError("one cost per area required")
-    if any(c <= 0 for c in cost):
-        raise InputError("costs must be positive")
+    for area, c in zip(areas, cost):
+        if not 0 < c < math.inf:
+            raise InputError(f"cost of area {area} must be finite and positive, got {c:g}")
     index = {a: i for i, a in enumerate(areas)}
     covers = np.eye(n)  # row: the area's closed neighborhood
     for pair in adj.pairs:

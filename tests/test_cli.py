@@ -429,11 +429,15 @@ class TestArgumentErrors:
             (["tour", "--dist", "{tour}", "--force-arc", "1,2,3"],
              "--force-arc expects I,J, got '1,2,3'"),
             (["tour", "--dist", "{tour}", "--force-arc", "1,"], "--force-arc expects I,J, got '1,'"),
+            (["cover", "--gal", "{gal}", "--cost", "1,nan,1"],
+             "cost of area B must be finite and positive, got nan"),
+            (["cover", "--gal", "{gal}", "--cost", "1,1,inf"],
+             "cost of area C must be finite and positive, got inf"),
         ],
         ids=["open-negative", "max-colors-zero", "sink-cap-negative", "demand-negative",
              "capacity-negative", "facility-capacity-negative", "fixed-not-a-number",
              "demand-not-a-number", "force-arc-one-end", "force-arc-three-ends",
-             "force-arc-blank-end"],
+             "force-arc-blank-end", "cover-cost-nan", "cover-cost-inf"],
     )
     def test_exits_64_naming_the_item(self, inputs, argv, message):
         code, out, err = _run([arg.format(**inputs) for arg in argv])

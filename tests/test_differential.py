@@ -156,3 +156,102 @@ def test_solve_mip_matches_highs(problem):
     lp = _linear_program(c, A, senses, b, lo, hi, direction)
     mip = MipProblem(lp, tuple(kinds), tuple(f"x{i}" for i in range(len(kinds))))
     _assert_same_answer(solve_mip(mip), *_highs_mip(lp, kinds))
+
+
+def _transportation_lp(seed):
+    """A random transportation LP with 24-40 rows: supply rows sum_j x_ij
+    <= s_i, then demand rows sum_i x_ij >= d_j or = d_j, at integer costs.
+    Some draws have more demand than supply and are infeasible."""
+    rng = np.random.default_rng(seed)
+    sources = int(rng.integers(10, 17))
+    sinks = int(rng.integers(14, 41 - sources))
+    A = np.vstack([np.kron(np.eye(sources), np.ones(sinks)), np.tile(np.eye(sinks), sources)])
+    senses = ["le"] * sources + list(rng.choice(["ge", "eq"], size=sinks))
+    b = np.concatenate([rng.integers(10, 61, sources), rng.integers(1, 31, sinks)])
+    cost = rng.integers(1, 31, sources * sinks)
+    return _linear_program(cost, A, senses, b, None, None, "min")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_transportation_lps_match_highs(seed):
+    lp = _transportation_lp(seed)
+    ours = solve_lp(lp)
+    _assert_same_answer(ours, *_highs_lp(lp))
+    # Past 50 pivots the basis inverse has been refactorised at least once
+    # and updated in product form dozens of times.
+    assert ours.iterations > 50
+
+
+@st.composite
+def degenerate_lps(draw):
+    """Rows over the coefficients -1, 0, 1 and 2 with rhs mostly zero, so
+    many basic variables sit at zero and ratio tests tie."""
+    n = draw(st.integers(3, 10))
+    m = draw(st.integers(2, 8))
+    A = np.array(
+        [draw(st.lists(st.sampled_from([0, 1, 1, 2, -1]), min_size=n, max_size=n)) for _ in range(m)],
+        dtype=float,
+    )
+    senses = [draw(st.sampled_from(["le", "le", "eq", "ge"])) for _ in range(m)]
+    b = np.array([draw(st.sampled_from([0, 0, 0, 1])) for _ in range(m)], dtype=float)
+    c = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=float)
+    hi = np.array([draw(st.sampled_from([1.0, math.inf])) for _ in range(n)])
+    return c, A, senses, b, np.zeros(n), hi, draw(st.sampled_from(["min", "max"]))
+
+
+@ORACLE
+@given(degenerate_lps())
+def test_degenerate_lps_match_highs(problem):
+    lp = _linear_program(*problem)
+    _assert_same_answer(solve_lp(lp), *_highs_lp(lp))
+
+
+@st.composite
+def scaled_lps(draw):
+    """(integer LP, the same LP badly scaled). The second form multiplies
+    each row by 10**r and substitutes x_j = 10**s_j y_j, with r and s in
+    -2..2, so its coefficients range over 1e-4..5e4 while its optimum
+    keeps the integer LP's value: HiGHS solves the well-scaled form as the
+    oracle for the badly scaled one. Up to 12 variables."""
+    n = draw(st.integers(1, 12))
+    c = np.array(draw(st.lists(COEFFICIENT, min_size=n, max_size=n)), dtype=float)
+    A, senses, b = draw(_rows(n, 8))
+    lo, hi = map(np.array, zip(*[draw(_lp_bound()) for _ in range(n)]))
+    direction = draw(st.sampled_from(["min", "max"]))
+    row = 10.0 ** np.array(draw(st.lists(st.integers(-2, 2), min_size=len(b), max_size=len(b))))
+    col = 10.0 ** np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    scaled = (c * col, row[:, None] * A * col, senses, row * b, lo / col, hi / col, direction)
+    return (c, A, senses, b, lo, hi, direction), scaled
+
+
+@ORACLE
+@given(scaled_lps())
+def test_badly_scaled_lps_match_highs(problems):
+    well, badly = problems
+    _assert_same_answer(solve_lp(_linear_program(*badly)), *_highs_lp(_linear_program(*well)))
+
+
+def test_rows_of_large_terms_keep_their_optimum():
+    """A row's residual is judged against the size of its terms: at the
+    optimum HiGHS finds, rows whose terms sum to 2e11 in absolute value end
+    2.7e-4 off, about 1e-15 of that, which is the roundoff of evaluating
+    them. Judged against the rhs scale (1e3) alone, this optimum would be
+    called NUMERICAL."""
+    inf = math.inf
+    c = [1, 0, 0, 0, 0, -1e4, 0, 0, 0, 0, -1e3, 0]
+    A = [
+        [-1e-2, 0, 0, 1e3, -1e-3, 1e-1, -1e4, -1e2, 1e1, 0, 1e2, 0],
+        [0, 0, 0, 0, -1e-3, -1, 0, -1e-4, 0, 1e3, 0, 1e1],
+        [-1e-2, 0, 0, 1e3, -1e-3, 1e-1, -1e4, -1e2, 1e1, 0, 1e2, 0],
+        [0, 0, 0, -1e1, 1e-2, -1e4, -1e-2, 1e-4, 0, -1e1, 0, 0],
+        [-1, 0, 0, 0, 1e-4, -1e4, -1e1, -1e3, -1, -1e2, -1e-1, 1e-1],
+        [0, 1e-2, 0, 0, 0, 0, -1e4, 0, 1e-3, 0, 1e3, -1e-1],
+        [0, 0, -1, -1e2, 0, 0, 1, 1e2, 1e-1, 0, 0, 0],
+        [-1e2, 0, 1e1, 0, 0, 0, 0, 0, 0, -1e3, 1e-2, -1e3],
+    ]
+    senses = ["ge", "eq", "ge", "ge", "eq", "le", "le", "eq"]
+    b = [1e3, 0, -1e-4, 1e3, 1e3, 0, -1e-4, -1e-4]
+    lo = [0, -inf, 0, -inf, 2, -inf, -inf, 4, -5, 5, -inf, 5]
+    hi = [inf, -1, inf, 3, 2, inf, -2, 4, 3, 5, -5, 5]
+    lp = _linear_program(*map(np.array, (c, A, senses, b, lo, hi)), "min")
+    _assert_same_answer(solve_lp(lp), *_highs_lp(lp))

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from pftopt import linprog
 from pftopt.linprog import (
     LinearProgram,
     MalformedProblemError,
@@ -119,6 +120,42 @@ class TestStatuses:
         assert capped.status is Status.ITERATION_LIMIT
         assert capped.iterations == 1
 
+
+
+class TestPrimalCheck:
+    """The check a claimed optimum passes: x solves the working form."""
+
+    # x1 + x2 + s = 4 with x2 <= 3 and s >= 0, at the point (1, 3, 0).
+    A = np.array([[1.0, 1.0, 1.0]])
+    b = np.array([4.0])
+    lo = np.zeros(3)
+    hi = np.array([math.inf, 3.0, math.inf])
+    x = np.array([1.0, 3.0, 0.0])
+
+    def _feasible(self, x):
+        return linprog._primal_feasible(self.A, self.b, self.lo, self.hi, x, 1e-7, 4.0)
+
+    def test_accepts_the_solution(self):
+        assert self._feasible(self.x)
+
+    def test_rejects_a_perturbed_row(self):
+        assert not self._feasible(self.x + [1e-5, 0.0, 0.0])
+
+    def test_rejects_a_bound_violation_with_the_row_held(self):
+        assert not self._feasible(self.x + [-1e-5, 1e-5, 0.0])
+
+    def test_a_drifted_point_is_numerical_not_optimal(self, monkeypatch):
+        run = linprog._run_simplex
+
+        def drifting(A, c, lo, hi, basis, x, *args):
+            status, iterations = run(A, c, lo, hi, basis, x, *args)
+            x[basis[0]] += 1e-4
+            return status, iterations
+
+        lp = _lp([-1.0, -1.0], rows=[([1.0, 2.0], "le", 4.0)], bounds=[(0.0, 3.0), (0.0, 3.0)])
+        assert solve_lp(lp).status is Status.OPTIMAL
+        monkeypatch.setattr(linprog, "_run_simplex", drifting)
+        assert solve_lp(lp).status is Status.NUMERICAL
 
 class TestSmallProblems:
     def test_bounds_only_minimum_at_lower(self):

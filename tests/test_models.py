@@ -376,6 +376,12 @@ class TestSetCover:
         with pytest.raises(InputError):
             models.build_set_cover(adj, [1.0])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_cost_must_be_finite_and_positive(self, bad):
+        adj = _adjacency([], [1, 2])
+        with pytest.raises(InputError, match=f"cost of area 2 must be finite and positive, got {bad:g}"):
+            models.build_set_cover(adj, [1.0, bad])
+
 
 class TestPathEnumeration:
     def test_single_arc(self):
