@@ -7,37 +7,39 @@ Problems are stated in the standard form
             A_ub x <= b_ub
             l <= x <= u
 
-Working form: with m_eq equality rows, m_ub inequality rows and n variables,
-inequality row m_eq + k owns the slack column n + k (bounds [0, inf)), so the
-working problem is an equality system over bounded columns. Every column
-starts at its finite lower bound, else its finite upper bound, else (free) at
-zero. An inequality row whose slack can absorb the start's residual starts
-with that slack basic; only the other rows (every equality row, and every
-inequality row the start violates) get an artificial column. The residual is
-computed from the problem's own rows first, so the count of artificials is
-known and the working matrix [A_eq; A_ub | I | artificials] is made in one
-allocation. Phase 1 drives the artificials to zero; phase 2 pins them there
-and minimizes the true objective (negated for max).
+Working form: with m_eq equality rows, m_ub inequality rows (m in all) and
+n variables, row i owns the logical column n + i, bounded to [0, 0] on an
+equality row and [0, inf) on an inequality row. `LinearProgram` builds
+[A_eq; A_ub | I] once; the LPs `with_bounds` makes share it. Every variable
+starts at its finite lower bound, else its finite upper bound, else (free)
+at zero; every logical starts basic at its row's residual r.
 
-One revised primal simplex loop runs both phases and returns a status
-instead of raising: OPTIMAL, ITERATION_LIMIT (max_iterations pivots over both
-phases), UNBOUNDED on an improving ray that no bound blocks, or NUMERICAL on
-a singular basis. Phase 1 is bounded below, so an unbounded ray there is
-reported as NUMERICAL; a phase 1 that ends with artificials above tolerance
-gives INFEASIBLE. Before OPTIMAL is returned, the point must solve the
-working form: each row to within feasibility_tol times the larger of the
-rhs scale and the row's term size, each bound to within feasibility_tol
-times the rhs scale; else the status is NUMERICAL. `LpOutcome.iterations`
-counts every pivot made, whatever the status.
+Phase 1 minimises the violation of every equality row and each inequality
+row with r < 0, whose logical gets the bounds [min(r, 0), max(r, 0)] and
+the cost sign(r). A feasible point may need such a row slack, so when phase
+1 stops with the row met (its logical at zero) the row is released (bounds
+[0, inf), cost 0) and phase 1 goes on. INFEASIBLE means a row is still
+violated when none is left to release. Phase 2 restores the logical bounds and minimises the
+true objective (negated for max).
+
+One revised primal simplex loop runs each phase-1 round and phase 2 and
+returns a status instead of raising: OPTIMAL, ITERATION_LIMIT (max_iterations
+pivots in all), UNBOUNDED on an improving ray that no bound blocks, or
+NUMERICAL on a singular basis. Phase 1 is bounded below, so an unbounded ray
+there is reported as NUMERICAL. A row is met within feasibility_tol *
+max(1, |b_i|, sum_j |A_ij x_j|). Before OPTIMAL is returned, every row must
+be met and every bound held to within feasibility_tol * max(1, max |b|);
+else the status is NUMERICAL. `LpOutcome.iterations` counts every pivot
+made, whatever the status.
 
 The loop keeps the basis inverse explicitly. It is factorised afresh when
-each phase starts and after every 50 basis changes; a pivot in between
+the loop starts and after every 50 basis changes; a pivot in between
 updates it with one rank-1 (product-form) correction, so a pivot costs
 matrix-vector products, O(m * (m + n)), rather than dense solves, O(m^3).
 
 Pricing takes the largest reduced-cost violation, or the lowest column index
-(Bland) once more than 3 (m_eq + n + 2 m_ub) pivots in a row made no
-progress. Ratio test: a basic variable blocks at the bound it heads to, after
+(Bland) once more than 3 (n + 2 m) pivots in a row made no progress.
+Ratio test: a basic variable blocks at the bound it heads to, after
 its distance to that bound divided by |rate|; one with |rate| <=
 feasibility_tol never blocks. A row leaves only if its step is shorter than
 the entering variable's bound flip by more than 1e-12. Rows within 1e-12 of
@@ -144,9 +146,10 @@ class LinearProgram:
     lo <= x <= hi the bounds, where -inf/+inf mark free sides. Absent rows
     are empty blocks and absent bounds default to [0, inf). Every array is
     copied and checked once, when the problem is made; `with_bounds` shares
-    them. `eq_rows` and `ub_rows` give the rows back as (coefficients, rhs)
-    tuples, computed when read; they stay because the benchmark's tracer
-    (bench/tracing.py) counts rows with them.
+    them. `working` is the simplex's working form [A_eq; A_ub | I], and the
+    row blocks are views of it, so the rows are stored once. `eq_rows` and
+    `ub_rows` give the rows back as (coefficients, rhs) tuples, computed
+    when read, for the benchmark's tracer (bench/tracing.py).
     """
 
     c: np.ndarray
@@ -157,6 +160,7 @@ class LinearProgram:
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
     direction: str = "min"
+    working: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         c = _frozen(self.c)
@@ -176,9 +180,15 @@ class LinearProgram:
         )
         if self.direction not in ("min", "max"):
             raise MalformedProblemError(f"unknown direction {self.direction!r}")
-        for name, value in zip(
-            ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi"), (c, A_eq, b_eq, A_ub, b_ub, lo, hi)
-        ):
+        m_eq, m = b_eq.size, b_eq.size + b_ub.size
+        working = np.zeros((m, n + m))
+        working[:m_eq, :n] = A_eq
+        working[m_eq:, :n] = A_ub
+        working[np.arange(m), n + np.arange(m)] = 1.0
+        working.flags.writeable = False
+        A_eq, A_ub = working[:m_eq, :n], working[m_eq:, :n]
+        names = ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi", "working")
+        for name, value in zip(names, (c, A_eq, b_eq, A_ub, b_ub, lo, hi, working)):
             object.__setattr__(self, name, value)
 
     def with_bounds(self, lo, hi) -> "LinearProgram":
@@ -341,15 +351,17 @@ def _run_simplex(A, c, lo, hi, basis, x, limits, iteration, stall_after):
     return Status.ITERATION_LIMIT, iteration
 
 
+def _row_tol(A, b, x, feas_tol: float) -> np.ndarray:
+    """feas_tol * max(1, |b_i|, sum_j |A_ij x_j|) per row: its terms bound A_i x's roundoff."""
+    return feas_tol * np.maximum(np.maximum(1.0, np.abs(b)), np.abs(A) @ np.abs(x))
+
+
 def _primal_feasible(A, b, lo, hi, x, feas_tol: float, scale: float) -> bool:
-    """Whether x solves the working form A x = b, lo <= x <= hi: no bound
-    violated by more than feas_tol * scale, and no row off by more than
-    feas_tol times the larger of scale and the row's term size
-    sum_j |A_ij x_j|, which bounds the roundoff of A_i x. The simplex moves
-    x step by step, so a drifted basis inverse shows here before a wrong
-    point is called optimal."""
-    size = np.maximum(scale, np.abs(A) @ np.abs(x))
-    if (np.abs(A @ x - b) > feas_tol * size).any():
+    """Whether x solves the working form A x = b, lo <= x <= hi: no row off
+    by more than its `_row_tol`, and no bound violated by more than
+    feas_tol * scale. The simplex moves x step by step, so a drifted basis
+    inverse shows here before a wrong point is called optimal."""
+    if (np.abs(A @ x - b) > _row_tol(A, b, x, feas_tol)).any():
         return False
     return bool(np.maximum(lo - x, x - hi).max(initial=0.0) <= feas_tol * scale)
 
@@ -362,57 +374,44 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     which of the tied vertices that is stays unspecified.
     """
     limits = limits or SolveLimits()
-    n = lp.num_vars
-    sign = -1.0 if lp.direction == "max" else 1.0
-    m_eq, m_ub = lp.b_eq.size, lp.b_ub.size
-    m, n_cols = m_eq + m_ub, n + m_ub
+    A, n, m_eq = lp.working, lp.num_vars, lp.b_eq.size
+    m = A.shape[0]
     b = np.concatenate([lp.b_eq, lp.b_ub])
-
-    # Every variable starts at its finite lower bound, else its finite upper
-    # bound, else (free) at zero; every slack starts at zero.
+    eq_row = np.arange(m) < m_eq
+    lo = np.concatenate([lp.lo, np.zeros(m)])
+    hi = np.concatenate([lp.hi, np.where(eq_row, 0.0, math.inf)])
     start = np.where(np.isfinite(lp.lo), lp.lo, np.where(np.isfinite(lp.hi), lp.hi, 0.0))
-    residual = b - np.concatenate([lp.A_eq @ start, lp.A_ub @ start])
-    # A slack that can absorb its row's residual starts basic; every other
-    # row gets an artificial column of its own.
-    absorbs = (np.arange(m) >= m_eq) & (residual >= 0)
-    needy = np.flatnonzero(~absorbs)
-    n_art = needy.size
-    arts = n_cols + np.arange(n_art)
+    x = np.concatenate([start, np.zeros(m)])
+    x[n:] = b - A @ x
+    basis = n + np.arange(m)
+    stall_after = 3 * (n + 2 * m)
 
-    # The working form [A_eq; A_ub | I | artificials], made in one
-    # allocation: inequality row m_eq + k owns slack column n + k, and row
-    # needy[k] owns artificial column n_cols + k.
-    A = np.zeros((m, n_cols + n_art))
-    A[:m_eq, :n] = lp.A_eq
-    A[m_eq:, :n] = lp.A_ub
-    A[np.arange(m_eq, m), np.arange(n, n_cols)] = 1.0
-    A[needy, arts] = np.where(residual[needy] >= 0, 1.0, -1.0)
-    lo = np.concatenate([lp.lo, np.zeros(m_ub + n_art)])
-    hi = np.concatenate([lp.hi, np.full(m_ub + n_art, math.inf)])
-    x = np.concatenate([start, np.zeros(m_ub), np.abs(residual[needy])])
-    basis = np.arange(m) + (n - m_eq)  # each inequality row's slack column
-    x[basis[absorbs]] = residual[absorbs]
-    basis[needy] = arts
+    # Phase 1 over the logicals p1 of the violated rows.
+    p1 = n + np.flatnonzero(eq_row | (x[n:] < 0))
+    lo1, hi1, c1 = lo.copy(), hi.copy(), np.zeros(n + m)
+    lo1[p1], hi1[p1], c1[p1] = np.minimum(x[p1], 0.0), np.maximum(x[p1], 0.0), np.sign(x[p1])
+    iters = 0
+    while p1.size:
+        status, iters = _run_simplex(A, c1, lo1, hi1, basis, x, limits, iters, stall_after)
+        if status is Status.UNBOUNDED:
+            status = Status.NUMERICAL
+        if status is not Status.OPTIMAL:
+            return LpOutcome(status=status, iterations=iters)
+        ub = p1 >= n + m_eq
+        violation = np.where(ub, -x[p1], np.abs(x[p1]))
+        off = violation > _row_tol(A, b, x, limits.feasibility_tol)[p1 - n]
+        if not off.any():
+            break
+        release = p1[ub & ~off]
+        if release.size == 0:
+            return LpOutcome(status=Status.INFEASIBLE, iterations=iters)
+        lo1[release], hi1[release], c1[release] = 0.0, math.inf, 0.0
+        p1 = p1[~ub | off]
 
-    # Phase 1 drives the artificials to zero. Its objective is bounded below,
-    # so an unbounded ray there is a numerical failure.
-    stall_after = 3 * (m + n_cols)
-    scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
-    c1 = np.concatenate([np.zeros(n_cols), np.ones(n_art)])
-    status, iters = _run_simplex(A, c1, lo, hi, basis, x, limits, 0, stall_after)
-    if status is Status.UNBOUNDED:
-        status = Status.NUMERICAL
-    if status is Status.OPTIMAL and float(c1 @ x) > limits.feasibility_tol * scale:
-        status = Status.INFEASIBLE
-    if status is not Status.OPTIMAL:
-        return LpOutcome(status=status, iterations=iters)
-
-    # Phase 2: keep the artificials but pin them to zero.
-    lo[n_cols:] = 0.0
-    hi[n_cols:] = 0.0
-    x[n_cols:] = 0.0
-    c2 = np.concatenate([sign * lp.c, np.zeros(m_ub + n_art)])
+    x[p1] = 0.0  # rows phase 1 left within tolerance, made exact for phase 2
+    c2 = np.concatenate([-lp.c if lp.direction == "max" else lp.c, np.zeros(m)])
     status, iters = _run_simplex(A, c2, lo, hi, basis, x, limits, iters, stall_after)
+    scale = float(np.abs(b).max(initial=1.0))
     if status is Status.OPTIMAL and not _primal_feasible(
         A, b, lo, hi, x, limits.feasibility_tol, scale
     ):

@@ -380,3 +380,4 @@ class TestNodeAccounting:
             assert lp.c is root.c
             assert lp.A_eq is root.A_eq and lp.b_eq is root.b_eq
             assert lp.A_ub is root.A_ub and lp.b_ub is root.b_ub
+            assert lp.working is root.working

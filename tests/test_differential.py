@@ -255,3 +255,24 @@ def test_rows_of_large_terms_keep_their_optimum():
     hi = [inf, -1, inf, 3, 2, inf, -2, 4, 3, 5, -5, 5]
     lp = _linear_program(*map(np.array, (c, A, senses, b, lo, hi)), "min")
     _assert_same_answer(solve_lp(lp), *_highs_lp(lp))
+
+
+def _covering_lp(seed):
+    """A random covering LP with 10-30 rows: min c.x over A x >= b, x >= 0,
+    with A >= 0 (every row has a positive entry), b > 0 and c > 0. The
+    start x = 0 violates every row, and many rows end slack, so phase 1
+    releases rows over several rounds."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(10, 31))
+    n = int(rng.integers(5, 21))
+    A = rng.integers(1, 4, (m, n)) * (rng.random((m, n)) < 0.3)
+    A[np.arange(m), rng.integers(0, n, m)] = rng.integers(1, 4, m)
+    b = rng.integers(1, 11, m)
+    cost = rng.integers(1, 11, n)
+    return _linear_program(cost, A, ["ge"] * m, b, None, None, "min")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_covering_lps_match_highs(seed):
+    lp = _covering_lp(seed)
+    _assert_same_answer(solve_lp(lp), *_highs_lp(lp))

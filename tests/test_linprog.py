@@ -122,6 +122,32 @@ class TestStatuses:
 
 
 
+    def test_a_large_rhs_elsewhere_hides_no_violated_row(self):
+        # x >= 5e-4 and x <= 0 cannot both hold. Judged against the rhs
+        # scale of the row y <= 1e4, the violation 5e-4 looked like roundoff.
+        lp = _lp(
+            [0.0, -1.0],
+            rows=[([1.0, 0.0], "ge", 5e-4), ([1.0, 0.0], "le", 0.0), ([0.0, 1.0], "le", 1e4)],
+            bounds=[(-math.inf, math.inf), (0.0, math.inf)],
+        )
+        assert solve_lp(lp).status is Status.INFEASIBLE
+
+    def test_a_violated_row_may_end_slack(self):
+        # The start (x2 = -2, x3 = 0) violates x3 <= -1 and x2 - x3 = 0.
+        # Phase 1 first meets x3 <= -1 at equality; only once that row is
+        # released can x3 go on to -2, where the row is slack.
+        lp = _lp(
+            [1.0, 0.0, 0.0],
+            rows=[([0.0, 0.0, 0.0], "le", 0.0), ([0.0, 0.0, 1.0], "le", -1.0),
+                  ([0.0, 1.0, -1.0], "eq", 0.0)],
+            bounds=[(0.0, math.inf), (-2.0, -2.0), (-math.inf, math.inf)],
+        )
+        out = solve_lp(lp)
+        assert out.status is Status.OPTIMAL
+        assert out.objective_value == pytest.approx(0.0)
+        assert out.x == pytest.approx([0.0, -2.0, -2.0])
+
+
 class TestPrimalCheck:
     """The check a claimed optimum passes: x solves the working form."""
 
@@ -319,10 +345,19 @@ class TestArrayForm:
         with pytest.raises(MalformedProblemError):
             self._lp().with_bounds([0.0], [1.0])
 
+    def test_working_form_gives_each_row_a_logical_column(self):
+        lp = _lp([1.0, 2.0], rows=[([1.0, 1.0], "ge", 1.0), ([1.0, -1.0], "eq", 0.0),
+                                   ([3.0, 4.0], "le", 9.0)])
+        expected = [[1.0, -1.0, 1.0, 0.0, 0.0],
+                    [-1.0, -1.0, 0.0, 1.0, 0.0],
+                    [3.0, 4.0, 0.0, 0.0, 1.0]]
+        assert lp.working.tolist() == expected
+        assert lp.with_bounds([0.0, 0.0], [1.0, 1.0]).working is lp.working
+
     def test_stored_arrays_are_read_only(self):
         lp = self._lp()
         for problem in (lp, lp.with_bounds([0.0, 0.0], [1.0, 1.0])):
-            for name in ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi"):
+            for name in ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi", "working"):
                 with pytest.raises(ValueError):
                     getattr(problem, name)[...] = 0.0
 
