@@ -19,18 +19,17 @@ row with r < 0, whose logical gets the bounds [min(r, 0), max(r, 0)] and
 the cost sign(r). A feasible point may need such a row slack, so when phase
 1 stops with the row met (its logical at zero) the row is released (bounds
 [0, inf), cost 0) and phase 1 goes on. INFEASIBLE means a row is still
-violated when none is left to release. Phase 2 restores the logical bounds and minimises the
-true objective (negated for max).
+violated when none is left to release. Phase 2 restores the logical bounds
+and minimises the true objective (negated for max).
 
 One revised primal simplex loop runs each phase-1 round and phase 2 and
 returns a status instead of raising: OPTIMAL, ITERATION_LIMIT (max_iterations
 pivots in all), UNBOUNDED on an improving ray that no bound blocks, or
 NUMERICAL on a singular basis. Phase 1 is bounded below, so an unbounded ray
-there is reported as NUMERICAL. A row is met within feasibility_tol *
-max(1, |b_i|, sum_j |A_ij x_j|). Before OPTIMAL is returned, every row must
-be met and every bound held to within feasibility_tol * max(1, max |b|);
-else the status is NUMERICAL. `LpOutcome.iterations` counts every pivot
-made, whatever the status.
+there is reported as NUMERICAL. A row is met within feasibility_tol * max(1,
+|b_i|) + 1e3 eps sum_j |A_ij x_j|, and before OPTIMAL every row must be met
+and every bound held within feasibility_tol * max(1, max |b|), else the status
+is NUMERICAL. `LpOutcome.iterations` counts every pivot made, whatever the status.
 
 The loop keeps the basis inverse explicitly. It is factorised afresh when
 the loop starts and after every 50 basis changes; a pivot in between
@@ -352,8 +351,9 @@ def _run_simplex(A, c, lo, hi, basis, x, limits, iteration, stall_after):
 
 
 def _row_tol(A, b, x, feas_tol: float) -> np.ndarray:
-    """feas_tol * max(1, |b_i|, sum_j |A_ij x_j|) per row: its terms bound A_i x's roundoff."""
-    return feas_tol * np.maximum(np.maximum(1.0, np.abs(b)), np.abs(A) @ np.abs(x))
+    """feas_tol * max(1, |b_i|) per row, plus 1e3 eps * sum_j |A_ij x_j| for A_i x's roundoff."""
+    roundoff = 1e3 * np.finfo(float).eps * (np.abs(A) @ np.abs(x))
+    return feas_tol * np.maximum(1.0, np.abs(b)) + roundoff
 
 
 def _primal_feasible(A, b, lo, hi, x, feas_tol: float, scale: float) -> bool:
@@ -399,7 +399,7 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
             return LpOutcome(status=status, iterations=iters)
         ub = p1 >= n + m_eq
         violation = np.where(ub, -x[p1], np.abs(x[p1]))
-        off = violation > _row_tol(A, b, x, limits.feasibility_tol)[p1 - n]
+        off = violation > _row_tol(A[p1 - n], b[p1 - n], x, limits.feasibility_tol)
         if not off.any():
             break
         release = p1[ub & ~off]

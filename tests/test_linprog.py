@@ -132,6 +132,17 @@ class TestStatuses:
         )
         assert solve_lp(lp).status is Status.INFEASIBLE
 
+    @pytest.mark.parametrize("sense, rhs", [("eq", 0.01), ("le", -0.01)])
+    def test_large_cancelling_terms_hide_no_violated_row(self, sense, rhs):
+        # With x = y = 100 fixed the row is off by 0.01. Its terms sum to
+        # 2e6, whose roundoff is about 1e-10, so the miss is no roundoff.
+        lp = _lp(
+            [0.0, 0.0],
+            rows=[([1e4, -1e4], sense, rhs)],
+            bounds=[(100.0, 100.0), (100.0, 100.0)],
+        )
+        assert solve_lp(lp).status is Status.INFEASIBLE
+
     def test_a_violated_row_may_end_slack(self):
         # The start (x2 = -2, x3 = 0) violates x3 <= -1 and x2 - x3 = 0.
         # Phase 1 first meets x3 <= -1 at equality; only once that row is
