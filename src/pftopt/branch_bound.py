@@ -27,6 +27,9 @@ from .linprog import (
 
 __all__ = ["VarKind", "MipProblem", "MipOutcome", "branch", "solve_mip"]
 
+# An integer variable within this distance of an integer counts as integral.
+_INTEGRALITY_TOL = 1e-6
+
 
 class VarKind(enum.Enum):
     CONTINUOUS = "C"
@@ -84,16 +87,16 @@ class MipOutcome:
     iterations: int = 0  # simplex pivots summed over every node LP
 
 
-def branch(node_relaxation: LpOutcome, mip: MipProblem, tol: float = 1e-6) -> int | None:
+def branch(node_relaxation: LpOutcome, mip: MipProblem) -> int | None:
     """The index of the most-fractional integer variable of an Optimal
-    relaxation, or None when every integer variable is within `tol` of an
-    integer. Distances from one half within 1e-12 of the best tie, and the
-    lowest index wins."""
+    relaxation, or None when every integer variable is within
+    _INTEGRALITY_TOL of an integer. Distances from one half within 1e-12 of
+    the best tie, and the lowest index wins."""
     if node_relaxation.status is not Status.OPTIMAL:
         raise ValueError("branching requires an Optimal relaxation")
     x = node_relaxation.x
     frac = x - np.floor(x)
-    fractional = mip.integer & (np.minimum(frac, 1.0 - frac) > tol)
+    fractional = mip.integer & (np.minimum(frac, 1.0 - frac) > _INTEGRALITY_TOL)
     if not fractional.any():
         return None
     dist = np.where(fractional, np.abs(frac - 0.5), math.inf)
@@ -118,7 +121,6 @@ def solve_mip(mip: MipProblem, limits: SolveLimits | None = None) -> MipOutcome:
     base = mip.base
     # Node values are compared in minimization sense; sign flips them back.
     sign = -1.0 if base.direction == "max" else 1.0
-    tol = limits.integrality_tol
 
     incumbent = None
     incumbent_obj = math.inf
@@ -149,7 +151,7 @@ def solve_mip(mip: MipProblem, limits: SolveLimits | None = None) -> MipOutcome:
         value = sign * outcome.objective_value
         if value >= incumbent_obj - 1e-9:
             continue
-        i = branch(outcome, mip, tol)
+        i = branch(outcome, mip)
         if i is None:
             incumbent = outcome.x.copy()
             incumbent_obj = value

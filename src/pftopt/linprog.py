@@ -26,21 +26,26 @@ One revised primal simplex loop runs each phase-1 round and phase 2 and
 returns a status instead of raising: OPTIMAL, ITERATION_LIMIT (max_iterations
 pivots in all), UNBOUNDED on an improving ray that no bound blocks, or
 NUMERICAL on a singular basis. Phase 1 is bounded below, so an unbounded ray
-there is reported as NUMERICAL. A row is met within feasibility_tol * max(1,
-|b_i|) + 1e3 eps sum_j |A_ij x_j|, and before OPTIMAL every row must be met
-and every bound held within feasibility_tol * max(1, max |b|), else the status
-is NUMERICAL. `LpOutcome.iterations` counts every pivot made, whatever the status.
+there is reported as NUMERICAL. The tolerances are fixed: feasibility and
+optimality 1e-7. A row is met within 1e-7 * max(1, |b_i|) + 1e3 eps
+sum_j |A_ij x_j|, and before OPTIMAL every row must be met and every bound
+held within 1e-7 * max(1, max |b|), else the status is NUMERICAL.
+`LpOutcome.iterations` counts every pivot made, whatever the status.
 
 The loop keeps the basis inverse explicitly. It is factorised afresh when
 the loop starts and after every 50 basis changes; a pivot in between
 updates it with one rank-1 (product-form) correction, so a pivot costs
 matrix-vector products, O(m * (m + n)), rather than dense solves, O(m^3).
 
-Pricing takes the largest reduced-cost violation, or the lowest column index
-(Bland) once more than 3 (n + 2 m) pivots in a row made no progress.
+Pricing reads each column's moves off x and its bounds: a nonbasic column
+may rise while x < hi and fall while x > lo, and its violation is the larger
+of -d_j (rising) and d_j (falling), for reduced costs d = c - c_B B^-1 A.
+Columns whose violation exceeds 1e-7 are eligible; the first with the largest
+violation enters, or the one with the lowest column index (Bland) once more
+than 3 (n + 2 m) pivots in a row made no progress.
 Ratio test: a basic variable blocks at the bound it heads to, after
 its distance to that bound divided by |rate|; one with |rate| <=
-feasibility_tol never blocks. A row leaves only if its step is shorter than
+1e-7 never blocks. A row leaves only if its step is shorter than
 the entering variable's bound flip by more than 1e-12. Rows within 1e-12 of
 the shortest step tie: the first with the largest |rate| leaves, or under
 Bland the one with the lowest column index.
@@ -77,9 +82,16 @@ class Status(enum.IntEnum):
     NUMERICAL = 4
 
 
+# A row or bound is met within _FEASIBILITY_TOL (scaled as the module
+# docstring says); a column may enter when its reduced cost improves the
+# objective by more than _OPTIMALITY_TOL per unit.
+_FEASIBILITY_TOL = 1e-7
+_OPTIMALITY_TOL = 1e-7
+
+
 @dataclass(frozen=True)
 class SolveLimits:
-    """Caps and tolerances of a solve.
+    """Caps of a solve.
 
     max_iterations caps the simplex pivots of each LP solve (phase 1 and
     phase 2 together); in branch and bound every node LP gets the full cap.
@@ -88,15 +100,10 @@ class SolveLimits:
 
     max_iterations: int = 20000
     max_nodes: int = 200000
-    feasibility_tol: float = 1e-7
-    optimality_tol: float = 1e-7
-    integrality_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.max_iterations <= 0 or self.max_nodes <= 0:
             raise MalformedProblemError("iteration/node limits must be positive")
-        if self.feasibility_tol <= 0 or self.optimality_tol <= 0:
-            raise MalformedProblemError("tolerances must be positive")
 
 
 def _frozen(values) -> np.ndarray:
@@ -248,16 +255,19 @@ def split_senses(A, senses, b) -> tuple:
 _REFACTOR_EVERY = 50
 
 
-def _run_simplex(A, c, lo, hi, basis, x, limits, iteration, stall_after):
+def _run_simplex(A, c, lo, hi, basis, x, limits, iteration):
     """Minimize c.x over Ax = b, lo <= x <= hi from the basic solution x.
 
     `basis` holds one column index per row. Every nonbasic x equals one of
-    its bounds exactly, or zero when the column is free, so x alone says
-    where a nonbasic column sits: at its upper bound iff x == hi. Mutates
-    basis and x in place. Returns (status, iterations), where iterations
-    goes on from `iteration` and counts every pivot made: OPTIMAL,
-    ITERATION_LIMIT, UNBOUNDED on an unblocked improving ray, or NUMERICAL
-    on a singular basis.
+    its bounds exactly, or zero when the column is free, so x and the bounds
+    alone say which way a nonbasic column may move: up while x < hi, down
+    while x > lo. A column may enter if its reduced cost d_j improves a move
+    it has: by -d_j upwards, by d_j downwards. That one rule covers columns
+    at a lower or an upper bound, free columns (both ways) and fixed ones
+    (neither). Mutates basis and x in place. Returns (status, iterations),
+    where iterations goes on from `iteration` and counts every pivot made:
+    OPTIMAL, ITERATION_LIMIT, UNBOUNDED on an unblocked improving ray, or
+    NUMERICAL on a singular basis.
 
     The loop keeps the basis inverse Binv. It is factorised afresh on entry
     and after every _REFACTOR_EVERY basis changes; in between, a pivot on
@@ -267,10 +277,7 @@ def _run_simplex(A, c, lo, hi, basis, x, limits, iteration, stall_after):
     w = Binv A_j.
     """
     m, n_total = A.shape
-    opt_tol = limits.optimality_tol
-    feas_tol = limits.feasibility_tol
-    free = np.isneginf(lo) & np.isposinf(hi)
-    bland = False
+    stall_after = 3 * (n_total + m)  # 3 (n + 2 m) for n variables and m rows
     stall = 0
     last_obj = math.inf
     Binv = None
@@ -283,37 +290,25 @@ def _run_simplex(A, c, lo, hi, basis, x, limits, iteration, stall_after):
             except np.linalg.LinAlgError:
                 return Status.NUMERICAL, iteration
             updates = 0
-        in_basis = np.zeros(n_total, dtype=bool)
-        in_basis[basis] = True
-        nonbasic = np.flatnonzero(~in_basis)
-        y = c[basis] @ Binv
-        # Pricing over the full width costs one n-vector; gathering
-        # A[:, nonbasic] first would copy most of A at every pivot.
-        d = (c - y @ A)[nonbasic]
-        # Entering candidates: at-lower columns want d < 0, at-upper columns
-        # want d > 0, free ones either. Fixed columns (lo == hi) never enter.
-        hi_n = hi[nonbasic]
-        viol = np.where(free[nonbasic], np.abs(d), np.where(x[nonbasic] == hi_n, d, -d))
-        viol[hi_n - lo[nonbasic] <= 0] = -math.inf
-        eligible = np.nonzero(viol > opt_tol)[0]
+        d = c - (c[basis] @ Binv) @ A
+        viol = np.maximum(np.where(x < hi, -d, -math.inf), np.where(x > lo, d, -math.inf))
+        viol[basis] = -math.inf
+        eligible = np.flatnonzero(viol > _OPTIMALITY_TOL)
         if eligible.size == 0:
             return Status.OPTIMAL, iteration
-        if bland:
-            k = eligible[np.argmin(nonbasic[eligible])]
-        else:
-            k = eligible[np.argmax(viol[eligible])]
-        j_in = int(nonbasic[k])
-        sigma = 1.0 if d[k] < 0 else -1.0
+        bland = stall > stall_after
+        j_in = int(eligible[0] if bland else eligible[np.argmax(viol[eligible])])
+        sigma = 1.0 if d[j_in] < 0 else -1.0
 
         w = Binv @ A[:, j_in]
         # x_B moves at rate -sigma*w as the entering variable moves by t >= 0.
         # Each basic variable blocks at the bound it heads to; one that barely
-        # moves (|rate| <= feas_tol) never blocks.
+        # moves (|rate| <= _FEASIBILITY_TOL) never blocks.
         rate = -sigma * w
         speed = np.abs(rate)
         x_b = x[basis]
         room = np.where(rate > 0, hi[basis] - x_b, x_b - lo[basis])
-        step = np.divide(room, speed, out=np.full(m, math.inf), where=speed > feas_tol)
+        step = np.divide(room, speed, out=np.full(m, math.inf), where=speed > _FEASIBILITY_TOL)
         np.maximum(step, 0.0, out=step)
         t = hi[j_in] - lo[j_in]  # bound flip distance (inf if one side open)
         t_min = step.min(initial=math.inf)
@@ -339,31 +334,29 @@ def _run_simplex(A, c, lo, hi, basis, x, limits, iteration, stall_after):
             updates += 1
         iteration += 1
         obj = float(c @ x)
-        if obj < last_obj - opt_tol:
+        if obj < last_obj - _OPTIMALITY_TOL:
             last_obj = obj
             stall = 0
-            bland = False
         else:
             stall += 1
-            if stall > stall_after:
-                bland = True
     return Status.ITERATION_LIMIT, iteration
 
 
-def _row_tol(A, b, x, feas_tol: float) -> np.ndarray:
-    """feas_tol * max(1, |b_i|) per row, plus 1e3 eps * sum_j |A_ij x_j| for A_i x's roundoff."""
+def _row_tol(A, b, x) -> np.ndarray:
+    """_FEASIBILITY_TOL * max(1, |b_i|) per row, plus 1e3 eps * sum_j |A_ij x_j|
+    for A_i x's roundoff."""
     roundoff = 1e3 * np.finfo(float).eps * (np.abs(A) @ np.abs(x))
-    return feas_tol * np.maximum(1.0, np.abs(b)) + roundoff
+    return _FEASIBILITY_TOL * np.maximum(1.0, np.abs(b)) + roundoff
 
 
-def _primal_feasible(A, b, lo, hi, x, feas_tol: float, scale: float) -> bool:
+def _primal_feasible(A, b, lo, hi, x, scale: float) -> bool:
     """Whether x solves the working form A x = b, lo <= x <= hi: no row off
     by more than its `_row_tol`, and no bound violated by more than
-    feas_tol * scale. The simplex moves x step by step, so a drifted basis
-    inverse shows here before a wrong point is called optimal."""
-    if (np.abs(A @ x - b) > _row_tol(A, b, x, feas_tol)).any():
+    _FEASIBILITY_TOL * scale. The simplex moves x step by step, so a drifted
+    basis inverse shows here before a wrong point is called optimal."""
+    if (np.abs(A @ x - b) > _row_tol(A, b, x)).any():
         return False
-    return bool(np.maximum(lo - x, x - hi).max(initial=0.0) <= feas_tol * scale)
+    return bool(np.maximum(lo - x, x - hi).max(initial=0.0) <= _FEASIBILITY_TOL * scale)
 
 
 def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
@@ -384,7 +377,6 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     x = np.concatenate([start, np.zeros(m)])
     x[n:] = b - A @ x
     basis = n + np.arange(m)
-    stall_after = 3 * (n + 2 * m)
 
     # Phase 1 over the logicals p1 of the violated rows.
     p1 = n + np.flatnonzero(eq_row | (x[n:] < 0))
@@ -392,14 +384,14 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     lo1[p1], hi1[p1], c1[p1] = np.minimum(x[p1], 0.0), np.maximum(x[p1], 0.0), np.sign(x[p1])
     iters = 0
     while p1.size:
-        status, iters = _run_simplex(A, c1, lo1, hi1, basis, x, limits, iters, stall_after)
+        status, iters = _run_simplex(A, c1, lo1, hi1, basis, x, limits, iters)
         if status is Status.UNBOUNDED:
             status = Status.NUMERICAL
         if status is not Status.OPTIMAL:
             return LpOutcome(status=status, iterations=iters)
         ub = p1 >= n + m_eq
         violation = np.where(ub, -x[p1], np.abs(x[p1]))
-        off = violation > _row_tol(A[p1 - n], b[p1 - n], x, limits.feasibility_tol)
+        off = violation > _row_tol(A[p1 - n], b[p1 - n], x)
         if not off.any():
             break
         release = p1[ub & ~off]
@@ -410,11 +402,9 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
 
     x[p1] = 0.0  # rows phase 1 left within tolerance, made exact for phase 2
     c2 = np.concatenate([-lp.c if lp.direction == "max" else lp.c, np.zeros(m)])
-    status, iters = _run_simplex(A, c2, lo, hi, basis, x, limits, iters, stall_after)
+    status, iters = _run_simplex(A, c2, lo, hi, basis, x, limits, iters)
     scale = float(np.abs(b).max(initial=1.0))
-    if status is Status.OPTIMAL and not _primal_feasible(
-        A, b, lo, hi, x, limits.feasibility_tol, scale
-    ):
+    if status is Status.OPTIMAL and not _primal_feasible(A, b, lo, hi, x, scale):
         status = Status.NUMERICAL
     if status is not Status.OPTIMAL:
         return LpOutcome(status=status, iterations=iters)

@@ -126,13 +126,13 @@ class AdjacencySet:
             raise InputError("duplicate area ids")
         area_set = set(areas)
         norm = set()
-        for pair in self.pairs:
-            a, b = tuple(pair)
-            if a == b:
-                raise InputError(f"self-pair on area {a}")
+        for pair in map(frozenset, self.pairs):
+            if len(pair) != 2:
+                raise InputError(f"pair {set(pair)} must name two distinct areas")
+            a, b = pair
             if a not in area_set or b not in area_set:
                 raise InputError(f"pair ({a}, {b}) references an unknown area")
-            norm.add(frozenset((a, b)))
+            norm.add(pair)
         object.__setattr__(self, "area_ids", areas)
         object.__setattr__(self, "pairs", frozenset(norm))
 
@@ -183,13 +183,17 @@ def _incidence(net: Network) -> np.ndarray:
     return inc
 
 
-def build_shortest_path(net: Network, s, t) -> MipProblem:
-    """One binary per arc; unit flow leaves s and enters t, with single-entry
-    caps on every node that has entering arcs."""
+def _check_endpoints(net: Network, s, t) -> None:
     if s == t:
         raise InputError("source and sink must differ")
     if s not in net.node_ids or t not in net.node_ids:
         raise InputError("source or sink not in network")
+
+
+def build_shortest_path(net: Network, s, t) -> MipProblem:
+    """One binary per arc; unit flow leaves s and enters t, with single-entry
+    caps on every node that has entering arcs."""
+    _check_endpoints(net, s, t)
     arcs = net.arcs
     inc = _incidence(net)
     b_eq = np.zeros(len(net.node_ids))
@@ -289,8 +293,7 @@ def enumerate_st_paths(net: Network, s, t, flows=None) -> PathSet:
     """All simple directed s->t paths by depth-first search, neighbors visited
     in ascending node-id order. Default per-path flow is the minimum arc
     weight along the path; `flows` overrides the whole vector."""
-    if s == t:
-        raise InputError("source and sink must differ")
+    _check_endpoints(net, s, t)
     out_arcs: dict = {node: [] for node in net.node_ids}
     weight = {}
     for tail, head, w, _ in net.arcs:
@@ -489,10 +492,7 @@ def build_max_flow(net: Network, s, t, sink_cap: float | None = None) -> MipProb
     """Continuous arc flows, capacity bounds, conservation at every
     intermediate node, maximizing total flow out of the source. An optional
     sink_cap caps the total flow into the sink."""
-    if s == t:
-        raise InputError("source and sink must differ")
-    if s not in net.node_ids or t not in net.node_ids:
-        raise InputError("source or sink not in network")
+    _check_endpoints(net, s, t)
     if sink_cap is not None and not 0 <= sink_cap < math.inf:
         raise InputError(f"sink_cap must be finite and non-negative, got {sink_cap:g}")
     arcs = net.arcs

@@ -406,7 +406,8 @@ class TestArgumentErrors:
         tour.write_text("from,to,dist\n" + "".join(
             f"{i},{j},{0 if i == j else i + j}\n" for i in range(1, 5) for j in range(1, 5)))
         return {"two": str(two), "tour": str(tour), "gal": str(fixtures / "demo.gal"),
-                "net": str(fixtures / "capacitated.net.csv")}
+                "net": str(fixtures / "capacitated.net.csv"),
+                "road": str(fixtures / "intercity_road.net.csv")}
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -433,11 +434,14 @@ class TestArgumentErrors:
              "cost of area B must be finite and positive, got nan"),
             (["cover", "--gal", "{gal}", "--cost", "1,1,inf"],
              "cost of area C must be finite and positive, got inf"),
+            (["flow-capture", "--net", "{road}", "--source", "99", "--sink", "7",
+              "--placements", "2"], "source or sink not in network"),
         ],
         ids=["open-negative", "max-colors-zero", "sink-cap-negative", "demand-negative",
              "capacity-negative", "facility-capacity-negative", "fixed-not-a-number",
              "demand-not-a-number", "force-arc-one-end", "force-arc-three-ends",
-             "force-arc-blank-end", "cover-cost-nan", "cover-cost-inf"],
+             "force-arc-blank-end", "cover-cost-nan", "cover-cost-inf",
+             "flow-capture-source-outside"],
     )
     def test_exits_64_naming_the_item(self, inputs, argv, message):
         code, out, err = _run([arg.format(**inputs) for arg in argv])

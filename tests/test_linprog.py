@@ -78,8 +78,6 @@ class TestValidation:
     def test_limits_must_be_positive(self):
         with pytest.raises(ValueError):
             SolveLimits(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolveLimits(feasibility_tol=-1e-9)
 
 
 class TestStatuses:
@@ -170,7 +168,7 @@ class TestPrimalCheck:
     x = np.array([1.0, 3.0, 0.0])
 
     def _feasible(self, x):
-        return linprog._primal_feasible(self.A, self.b, self.lo, self.hi, x, 1e-7, 4.0)
+        return linprog._primal_feasible(self.A, self.b, self.lo, self.hi, x, 4.0)
 
     def test_accepts_the_solution(self):
         assert self._feasible(self.x)
@@ -253,15 +251,17 @@ class TestProperties:
         assert out.objective_value == pytest.approx(-0.77)
 
     @pytest.mark.parametrize(
-        "c, A_ub, b_ub, optimum",
+        "c, A_ub, b_ub, optimum, pivots",
         [
             # Kuhn's example: the largest-violation rule stalls on it until the
-            # Bland fallback takes over.
+            # Bland fallback takes over, after 3 (n + 2 m) = 30 pivots without
+            # progress, so its pivot count pins the threshold and tie rules.
             (
                 [-2.0, -3.0, 1.0, 12.0],
                 [[-2.0, -9.0, 1.0, 9.0], [1 / 3, 1.0, -1 / 3, -2.0], [2.0, 3.0, -1.0, -12.0]],
                 [0.0, 0.0, 2.0],
                 -2.0,
+                34,
             ),
             # Beale's 1955 example, which cycles under the textbook tableau rule.
             (
@@ -269,14 +269,16 @@ class TestProperties:
                 [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
                 [0.0, 0.0, 1.0],
                 -1.25,
+                2,
             ),
         ],
         ids=["kuhn", "beale"],
     )
-    def test_cycling_lp_reaches_the_optimum(self, c, A_ub, b_ub, optimum):
+    def test_cycling_lp_reaches_the_optimum(self, c, A_ub, b_ub, optimum, pivots):
         out = solve_lp(LinearProgram(c, A_ub=A_ub, b_ub=b_ub))
         assert out.status is Status.OPTIMAL
         assert out.objective_value == pytest.approx(optimum)
+        assert out.iterations == pivots
 
     def test_determinism(self):
         lp = _lp(

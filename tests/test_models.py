@@ -136,6 +136,21 @@ class TestDistanceMatrixForm:
         assert dm.d.shape == (0, 2)
 
 
+class TestAdjacencySet:
+    @pytest.mark.parametrize(
+        "pair, message",
+        [({1}, r"pair \{1\} must name two"), ({1, 2, 3}, r"pair \{1, 2, 3\} must name two")],
+        ids=["one-area", "three-areas"],
+    )
+    def test_pair_of_other_than_two_areas_rejected(self, pair, message):
+        with pytest.raises(InputError, match=message):
+            AdjacencySet((1, 2, 3), {frozenset(pair)})
+
+    def test_unknown_area_rejected(self):
+        with pytest.raises(InputError, match=r"references an unknown area"):
+            AdjacencySet((1, 2), {frozenset({1, 4})})
+
+
 class TestShortestPath:
     def _dijkstra(self, weights, s, t):
         g = nx.DiGraph()
@@ -418,6 +433,12 @@ class TestPathEnumeration:
         net = Network(node_ids=("s", "t"), arcs=(("s", "t", 3.0, math.inf),))
         with pytest.raises(InputError):
             models.enumerate_st_paths(net, "s", "t", flows=[1.0, 2.0])
+
+    @pytest.mark.parametrize("s, t", [("x", "t"), ("s", "x")])
+    def test_endpoint_outside_the_network_rejected(self, s, t):
+        net = Network(node_ids=("s", "t"), arcs=(("s", "t", 3.0, math.inf),))
+        with pytest.raises(InputError, match="source or sink not in network"):
+            models.enumerate_st_paths(net, s, t)
 
 
 def _capture_oracle(routes, candidates, p):
