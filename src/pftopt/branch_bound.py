@@ -4,7 +4,7 @@ Node selection is best-bound (ties by insertion order) and branching picks the
 most-fractional integer variable, so the search is deterministic. No cuts or
 heuristics, so the node count rests on the formulation alone: the twenty MTZ
 tours of the benchmark (4 to 8 cities, each also with one arc forced) take
-1189 nodes in all.
+1195 nodes in all.
 """
 
 from __future__ import annotations

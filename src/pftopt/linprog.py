@@ -32,23 +32,26 @@ sum_j |A_ij x_j|, and before OPTIMAL every row must be met and every bound
 held within 1e-7 * max(1, max |b|), else the status is NUMERICAL.
 `LpOutcome.iterations` counts every pivot made, whatever the status.
 
-The loop keeps the basis inverse explicitly. It is factorised afresh when
-the loop starts and after every 50 basis changes; a pivot in between
-updates it with one rank-1 (product-form) correction, so a pivot costs
-matrix-vector products, O(m * (m + n)), rather than dense solves, O(m^3).
+A solve keeps one basis inverse through every phase. It starts as I, the
+inverse of the logicals' block, and is factorised afresh after every 50th
+pivot of the solve; every other pivot updates it with one rank-1
+(product-form) correction, so a pivot costs matrix-vector products,
+O(m * (m + n)), rather than dense solves, O(m^3).
 
 Pricing reads each column's moves off x and its bounds: a nonbasic column
 may rise while x < hi and fall while x > lo, and its violation is the larger
 of -d_j (rising) and d_j (falling), for reduced costs d = c - c_B B^-1 A.
-Columns whose violation exceeds 1e-7 are eligible; the first with the largest
-violation enters, or the one with the lowest column index (Bland) once more
-than 3 (n + 2 m) pivots in a row made no progress.
+Columns whose violation exceeds 1e-7 are eligible; of those within 1e-12 of
+the largest violation the one with the lowest column index enters, or the
+lowest-index eligible column (Bland) once more than 3 (n + 2 m) pivots in a
+row made no progress.
 Ratio test: a basic variable blocks at the bound it heads to, after
 its distance to that bound divided by |rate|; one with |rate| <=
 1e-7 never blocks. A row leaves only if its step is shorter than
 the entering variable's bound flip by more than 1e-12. Rows within 1e-12 of
-the shortest step tie: the first with the largest |rate| leaves, or under
-Bland the one with the lowest column index.
+the shortest step tie: of those within 1e-12 of the largest |rate| the first
+leaves, or under Bland the one with the lowest column index. These 1e-12
+bands keep roundoff from choosing a pivot.
 """
 
 from __future__ import annotations
@@ -84,9 +87,11 @@ class Status(enum.IntEnum):
 
 # A row or bound is met within _FEASIBILITY_TOL (scaled as the module
 # docstring says); a column may enter when its reduced cost improves the
-# objective by more than _OPTIMALITY_TOL per unit.
+# objective by more than _OPTIMALITY_TOL per unit. Pivot candidates within
+# _TIE of the best tie, and an index rule, not roundoff, picks among them.
 _FEASIBILITY_TOL = 1e-7
 _OPTIMALITY_TOL = 1e-7
+_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -227,8 +232,6 @@ class LpOutcome:
     x: np.ndarray | None = None
     objective_value: float | None = None
     iterations: int = 0  # simplex pivots made, whatever the status
-    eq_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    ub_slacks: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 _SENSE_FLIP = {"le": 1.0, "ge": -1.0}
@@ -250,12 +253,12 @@ def split_senses(A, senses, b) -> tuple:
     return A[eq], b[eq], flip[:, None] * A[~eq], flip * b[~eq]
 
 
-# Basis changes between refactorisations of the kept basis inverse: each
+# Pivots of a solve between refactorisations of its basis inverse: each
 # rank-1 update adds roundoff, and a fresh inverse costs about m updates.
 _REFACTOR_EVERY = 50
 
 
-def _run_simplex(A, c, lo, hi, basis, x, limits, iteration):
+def _run_simplex(A, c, lo, hi, basis, x, Binv, limits, iteration):
     """Minimize c.x over Ax = b, lo <= x <= hi from the basic solution x.
 
     `basis` holds one column index per row. Every nonbasic x equals one of
@@ -264,32 +267,23 @@ def _run_simplex(A, c, lo, hi, basis, x, limits, iteration):
     while x > lo. A column may enter if its reduced cost d_j improves a move
     it has: by -d_j upwards, by d_j downwards. That one rule covers columns
     at a lower or an upper bound, free columns (both ways) and fixed ones
-    (neither). Mutates basis and x in place. Returns (status, iterations),
-    where iterations goes on from `iteration` and counts every pivot made:
-    OPTIMAL, ITERATION_LIMIT, UNBOUNDED on an unblocked improving ray, or
-    NUMERICAL on a singular basis.
+    (neither). Mutates basis, x and Binv in place. Returns (status,
+    iterations), where iterations goes on from `iteration` and counts every
+    pivot made: OPTIMAL, ITERATION_LIMIT, UNBOUNDED on an unblocked improving
+    ray, or NUMERICAL on a singular basis.
 
-    The loop keeps the basis inverse Binv. It is factorised afresh on entry
-    and after every _REFACTOR_EVERY basis changes; in between, a pivot on
-    row r updates it in product form (row r of Binv divided by w[r], and a
-    rank-1 correction of the other rows), so a pivot costs matrix-vector
-    products only: the duals y = c_B Binv and the entering column
-    w = Binv A_j.
+    Binv is the inverse of A[:, basis], carried from one call of a solve to
+    the next. A pivot on row r updates it in product form (row r of Binv
+    divided by w[r], and a rank-1 correction of the other rows), so a pivot
+    costs matrix-vector products only: the duals y = c_B Binv and the
+    entering column w = Binv A_j. After every _REFACTOR_EVERY-th pivot of
+    the solve, `iteration` a multiple of it, Binv is factorised afresh.
     """
     m, n_total = A.shape
     stall_after = 3 * (n_total + m)  # 3 (n + 2 m) for n variables and m rows
     stall = 0
     last_obj = math.inf
-    Binv = None
-    updates = _REFACTOR_EVERY
     while iteration < limits.max_iterations:
-        if updates == _REFACTOR_EVERY:
-            Binv = None  # let the old inverse go before inv allocates the new one
-            try:
-                Binv = np.linalg.inv(A[:, basis])
-            except np.linalg.LinAlgError:
-                return Status.NUMERICAL, iteration
-            updates = 0
         d = c - (c[basis] @ Binv) @ A
         viol = np.maximum(np.where(x < hi, -d, -math.inf), np.where(x > lo, d, -math.inf))
         viol[basis] = -math.inf
@@ -297,7 +291,8 @@ def _run_simplex(A, c, lo, hi, basis, x, limits, iteration):
         if eligible.size == 0:
             return Status.OPTIMAL, iteration
         bland = stall > stall_after
-        j_in = int(eligible[0] if bland else eligible[np.argmax(viol[eligible])])
+        near = viol[eligible] >= viol[eligible].max() - _TIE
+        j_in = int(eligible[0] if bland else eligible[np.argmax(near)])
         sigma = 1.0 if d[j_in] < 0 else -1.0
 
         w = Binv @ A[:, j_in]
@@ -313,9 +308,10 @@ def _run_simplex(A, c, lo, hi, basis, x, limits, iteration):
         t = hi[j_in] - lo[j_in]  # bound flip distance (inf if one side open)
         t_min = step.min(initial=math.inf)
         leave_pos = -1
-        if t_min < t - 1e-12:
-            ties = np.flatnonzero(step - t_min <= 1e-12)
-            leave_pos = ties[np.argmin(basis[ties]) if bland else np.argmax(speed[ties])]
+        if t_min < t - _TIE:
+            ties = np.flatnonzero(step - t_min <= _TIE)
+            near = speed[ties] >= speed[ties].max() - _TIE
+            leave_pos = ties[np.argmin(basis[ties]) if bland else np.argmax(near)]
             t = step[leave_pos]
         if not math.isfinite(t):
             return Status.UNBOUNDED, iteration
@@ -331,8 +327,13 @@ def _run_simplex(A, c, lo, hi, basis, x, limits, iteration):
             row = Binv[leave_pos] / w[leave_pos]
             Binv -= np.outer(w, row)
             Binv[leave_pos] = row
-            updates += 1
         iteration += 1
+        if iteration % _REFACTOR_EVERY == 0:
+            np.take(A, basis, axis=1, out=Binv)  # B in Binv's buffer: no extra m x m copy
+            try:
+                Binv[...] = np.linalg.inv(Binv)
+            except np.linalg.LinAlgError:
+                return Status.NUMERICAL, iteration
         obj = float(c @ x)
         if obj < last_obj - _OPTIMALITY_TOL:
             last_obj = obj
@@ -377,6 +378,7 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     x = np.concatenate([start, np.zeros(m)])
     x[n:] = b - A @ x
     basis = n + np.arange(m)
+    Binv = np.eye(m)  # the logicals' block of A is I
 
     # Phase 1 over the logicals p1 of the violated rows.
     p1 = n + np.flatnonzero(eq_row | (x[n:] < 0))
@@ -384,7 +386,7 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     lo1[p1], hi1[p1], c1[p1] = np.minimum(x[p1], 0.0), np.maximum(x[p1], 0.0), np.sign(x[p1])
     iters = 0
     while p1.size:
-        status, iters = _run_simplex(A, c1, lo1, hi1, basis, x, limits, iters)
+        status, iters = _run_simplex(A, c1, lo1, hi1, basis, x, Binv, limits, iters)
         if status is Status.UNBOUNDED:
             status = Status.NUMERICAL
         if status is not Status.OPTIMAL:
@@ -402,18 +404,11 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
 
     x[p1] = 0.0  # rows phase 1 left within tolerance, made exact for phase 2
     c2 = np.concatenate([-lp.c if lp.direction == "max" else lp.c, np.zeros(m)])
-    status, iters = _run_simplex(A, c2, lo, hi, basis, x, limits, iters)
+    status, iters = _run_simplex(A, c2, lo, hi, basis, x, Binv, limits, iters)
     scale = float(np.abs(b).max(initial=1.0))
     if status is Status.OPTIMAL and not _primal_feasible(A, b, lo, hi, x, scale):
         status = Status.NUMERICAL
     if status is not Status.OPTIMAL:
         return LpOutcome(status=status, iterations=iters)
     x = x[:n].copy()
-    return LpOutcome(
-        status=Status.OPTIMAL,
-        x=x,
-        objective_value=float(lp.c @ x),
-        iterations=iters,
-        eq_residuals=lp.A_eq @ x - lp.b_eq,
-        ub_slacks=lp.b_ub - lp.A_ub @ x,
-    )
+    return LpOutcome(status=Status.OPTIMAL, x=x, objective_value=float(lp.c @ x), iterations=iters)

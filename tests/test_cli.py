@@ -2,9 +2,15 @@
 
 import io
 import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 
+import pftopt
 from pftopt import branch_bound
 from pftopt.cli import PARSE_ERROR, USAGE_ERROR, run
 
@@ -12,6 +18,30 @@ def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def _pmedian_pft(d, p):
+    """The p-median model over the n x n distances d as a PFT table, laid out
+    as the benchmark's pmedian-lp files: Y<i>_<j> serves demand i from site j,
+    X<j> opens site j."""
+    n = len(d)
+    cons = [f"D{i}" for i in range(n)] + ["P"] + [f"L{i}_{j}" for j in range(n) for i in range(n)]
+    col = {name: k for k, name in enumerate(cons)}
+    lines = [f"#PFT v1 dir=min title=p-median n={n} p={p}", "var,kind," + ",".join(cons) + ",obj"]
+    for j in range(n):
+        for i in range(n):
+            cells = [""] * len(cons)
+            cells[col[f"D{i}"]] = cells[col[f"L{i}_{j}"]] = "1"
+            lines.append(f"Y{i}_{j},B," + ",".join(cells) + f",{d[i][j]}")
+    for j in range(n):
+        cells = [""] * len(cons)
+        cells[col["P"]] = "1"
+        for i in range(n):
+            cells[col[f"L{i}_{j}"]] = "-1"
+        lines.append(f"X{j},B," + ",".join(cells) + ",0")
+    lines.append("@sense,," + ",".join(["eq"] * (n + 1) + ["le"] * (n * n)) + ",")
+    lines.append("@rhs,," + ",".join(["1"] * n + [str(p)] + ["0"] * (n * n)) + ",")
+    return "\n".join(lines) + "\n"
 
 
 class TestSolve:
@@ -58,6 +88,29 @@ class TestSolve:
         _, second, _ = _run(argv)
         assert first == second
         assert "time_s" not in first
+
+    def test_pivots_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # The README's 12-point p-median: d[i][j] = d[j][i] drawn for i < j.
+        rng = random.Random(0)
+        d = [[0] * 12 for _ in range(12)]
+        for i in range(12):
+            for j in range(i + 1, 12):
+                d[i][j] = d[j][i] = rng.randint(1, 99)
+        path = tmp_path / "pmedian.pft.csv"
+        path.write_text(_pmedian_pft(d, 3))
+        src = str(pathlib.Path(pftopt.__file__).parents[1])
+        script = "import sys; from pftopt.cli import run; sys.exit(run(sys.argv[1:]))"
+        argv = [sys.executable, "-c", script, "solve", "--pft", str(path), "--json", "--deterministic"]
+        reports = []
+        for threads in ("1", "2"):
+            pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            reports.append(json.loads(done.stdout))
+        assert reports[0]["nodes"] == reports[1]["nodes"]
+        assert reports[0]["iterations"] == reports[1]["iterations"]
+        assert reports[0]["objective"] == reports[1]["objective"] == 151
 
     def test_infeasible_exits_2(self, tmp_path):
         text = (

@@ -229,12 +229,12 @@ class TestSmallProblems:
         out = solve_lp(lp)
         assert out.status is Status.OPTIMAL
         assert out.x == pytest.approx([3.0, 1.0])
-        assert np.max(np.abs(out.eq_residuals)) <= 1e-7
+        assert np.max(np.abs(lp.A_eq @ out.x - lp.b_eq)) <= 1e-7
 
     def test_slacks_reported(self):
         lp = _lp([-1.0], rows=[([1.0], "le", 3.0), ([1.0], "le", 5.0)])
         out = solve_lp(lp)
-        assert out.ub_slacks == pytest.approx([0.0, 2.0])
+        assert lp.b_ub - lp.A_ub @ out.x == pytest.approx([0.0, 2.0])
 
 
 class TestProperties:
@@ -292,6 +292,42 @@ class TestProperties:
         assert first.objective_value == second.objective_value
         assert first.iterations == second.iterations
 
+    def test_pricing_ties_go_to_the_lowest_index(self):
+        # The two columns' violations differ by 1e-13, inside the 1e-12 band,
+        # so column 0 enters although column 1's is larger by roundoff.
+        out = solve_lp(LinearProgram([-1.0, -(1 + 1e-13)], A_ub=[[1.0, 1.0]], b_ub=[1.0]))
+        assert out.status is Status.OPTIMAL
+        assert np.array_equal(out.x, [1.0, 0.0])
+
+    def test_ratio_ties_go_to_the_first_row_near_the_largest_rate(self):
+        # x0 enters and both rows block it after one unit; their rates differ
+        # by 1e-13, inside the band, so row 0 leaves and not row 1.
+        A = np.array([[1.0, 1.0, 0.0], [1 + 1e-13, 0.0, 1.0]])
+        basis, x = np.array([1, 2]), np.array([0.0, 1.0, 1 + 1e-13])
+        lo, hi = np.zeros(3), np.full(3, math.inf)
+        status, _ = linprog._run_simplex(
+            A, np.array([-1.0, 0.0, 0.0]), lo, hi, basis, x, np.eye(2), SolveLimits(), 0
+        )
+        assert status is Status.OPTIMAL
+        assert basis.tolist() == [0, 2]
+
+    # Covering LPs of tests/test_differential.py: seed 29 ends within 50
+    # pivots over 7 phase-1 rounds, seed 22 goes past 50 over 5 rounds.
+    @pytest.mark.parametrize("seed, factorisations", [(29, 0), (22, 1)])
+    def test_a_solve_factorises_once_per_50_pivots(self, seed, factorisations, monkeypatch):
+        from test_differential import _covering_lp
+
+        inv, calls = np.linalg.inv, []
+
+        def counting(M):
+            calls.append(M.shape)
+            return inv(M)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        out = solve_lp(_covering_lp(seed))
+        assert out.status is Status.OPTIMAL
+        assert len(calls) == out.iterations // 50 == factorisations
+
     def test_random_feasible_lps_satisfy_constraints(self):
         rng = random.Random(20240817)
         for _ in range(25):
@@ -307,7 +343,7 @@ class TestProperties:
             lp = _lp(c, rows=rows, bounds=[(0.0, 10.0)] * n)
             out = solve_lp(lp)
             assert out.status is Status.OPTIMAL
-            assert np.min(out.ub_slacks) >= -1e-7
+            assert np.min(lp.b_ub - lp.A_ub @ out.x) >= -1e-7
             assert all(-1e-7 <= v <= 10.0 + 1e-7 for v in out.x)
             # weak-duality sanity: the known feasible point cannot beat it
             assert sum(ci * vi for ci, vi in zip(c, x0)) >= out.objective_value - 1e-6
