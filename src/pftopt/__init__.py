@@ -10,7 +10,7 @@ from .linprog import (
     Status,
     solve_lp,
 )
-from .pft import AuditKind, AuditReport, Pft, PftParseError, audit_pft, compile_pft, parse_pft, render_pft
+from .pft import AuditKind, Pft, PftParseError, audit_pft, compile_pft, parse_pft, render_pft
 
 __all__ = [
     "LinearProgram",
@@ -27,7 +27,6 @@ __all__ = [
     "Pft",
     "PftParseError",
     "AuditKind",
-    "AuditReport",
     "parse_pft",
     "render_pft",
     "audit_pft",

@@ -229,12 +229,12 @@ def _build_model(args) -> MipProblem | None:
         cost = spatial.parse_distance_matrix(_read(args.cost))
         demand = _float_list(args.demand, "--demand")
         if args.design_capacity:
-            mode = models.DesignCapacity()
+            capacity = [sum(demand)] * len(cost.from_ids)
+        elif args.capacity:
+            capacity = _float_list(args.capacity, "--capacity")
         else:
-            if not args.capacity:
-                raise models.InputError("--capacity required unless --design-capacity")
-            mode = models.FixedCapacity(_float_list(args.capacity, "--capacity"))
-        return models.build_transportation(cost, demand, mode)
+            raise models.InputError("--capacity required unless --design-capacity")
+        return models.build_transportation(cost, demand, capacity)
     if cmd == "maxflow":
         net = spatial.parse_network(_read(args.net))
         return models.build_max_flow(
@@ -253,15 +253,15 @@ def _build_model(args) -> MipProblem | None:
 
 def _run_audit(args, stdout) -> int:
     table = pft_mod.parse_pft(_read(args.pft))
-    report = pft_mod.audit_pft(table)
+    findings = pft_mod.audit_pft(table)
     if args.json:
         doc = [
             {"kind": f.kind.value, "subject": f.subject, "message": f.message}
-            for f in report.findings
+            for f in findings
         ]
         stdout.write(json.dumps(doc, indent=2) + "\n")
-    elif report.findings:
-        for finding in report.findings:
+    elif findings:
+        for finding in findings:
             stdout.write(f"{finding.kind.value}: {finding.message}\n")
     else:
         stdout.write("no findings\n")
@@ -273,12 +273,12 @@ def _run_color(args, stdout) -> int:
     started = time.perf_counter()
     result = models.min_colors(adj, args.max_colors)
     wall = None if args.deterministic else time.perf_counter() - started
-    if not result.found:
+    if result.colors is None:
         if args.json:
-            doc = {"status": "Infeasible", "max_colors": result.max_tried}
+            doc = {"status": "Infeasible", "max_colors": args.max_colors}
             stdout.write(json.dumps(doc, indent=2) + "\n")
         else:
-            stdout.write(f"status: Infeasible\nno coloring with up to {result.max_tried} colors\n")
+            stdout.write(f"status: Infeasible\nno coloring with up to {args.max_colors} colors\n")
         return 2
     if args.json:
         doc = {

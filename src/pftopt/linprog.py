@@ -41,17 +41,19 @@ O(m * (m + n)), rather than dense solves, O(m^3).
 Pricing reads each column's moves off x and its bounds: a nonbasic column
 may rise while x < hi and fall while x > lo, and its violation is the larger
 of -d_j (rising) and d_j (falling), for reduced costs d = c - c_B B^-1 A.
-Columns whose violation exceeds 1e-7 are eligible; of those within 1e-12 of
-the largest violation the one with the lowest column index enters, or the
-lowest-index eligible column (Bland) once more than 3 (n + 2 m) pivots in a
-row made no progress.
+Columns whose violation exceeds 1e-7 are eligible; of those within
+1e-12 * max(1, v) of the largest violation v the one with the lowest column
+index enters, or the lowest-index eligible column (Bland) once more than
+3 (n + 2 m) pivots in a row made no progress.
 Ratio test: a basic variable blocks at the bound it heads to, after
 its distance to that bound divided by |rate|; one with |rate| <=
 1e-7 never blocks. A row leaves only if its step is shorter than
 the entering variable's bound flip by more than 1e-12. Rows within 1e-12 of
-the shortest step tie: of those within 1e-12 of the largest |rate| the first
-leaves, or under Bland the one with the lowest column index. These 1e-12
-bands keep roundoff from choosing a pivot.
+the shortest step tie: of those within 1e-12 * max(1, s) of the largest
+|rate| s the first leaves, or under Bland the one with the lowest column
+index. These bands keep roundoff from choosing a pivot; the two on
+violations and rates scale with the largest value, so they stay wider than
+its rounding error.
 """
 
 from __future__ import annotations
@@ -88,7 +90,9 @@ class Status(enum.IntEnum):
 # A row or bound is met within _FEASIBILITY_TOL (scaled as the module
 # docstring says); a column may enter when its reduced cost improves the
 # objective by more than _OPTIMALITY_TOL per unit. Pivot candidates within
-# _TIE of the best tie, and an index rule, not roundoff, picks among them.
+# _TIE of the best tie (_TIE * max(1, best) for violations and |rate|s, whose
+# roundoff grows with their size), and an index rule, not roundoff, picks
+# among them.
 _FEASIBILITY_TOL = 1e-7
 _OPTIMALITY_TOL = 1e-7
 _TIE = 1e-12
@@ -291,7 +295,8 @@ def _run_simplex(A, c, lo, hi, basis, x, Binv, limits, iteration):
         if eligible.size == 0:
             return Status.OPTIMAL, iteration
         bland = stall > stall_after
-        near = viol[eligible] >= viol[eligible].max() - _TIE
+        best = viol[eligible].max()
+        near = viol[eligible] >= best - _TIE * max(1.0, best)
         j_in = int(eligible[0] if bland else eligible[np.argmax(near)])
         sigma = 1.0 if d[j_in] < 0 else -1.0
 
@@ -310,7 +315,8 @@ def _run_simplex(A, c, lo, hi, basis, x, Binv, limits, iteration):
         leave_pos = -1
         if t_min < t - _TIE:
             ties = np.flatnonzero(step - t_min <= _TIE)
-            near = speed[ties] >= speed[ties].max() - _TIE
+            fastest = speed[ties].max()
+            near = speed[ties] >= fastest - _TIE * max(1.0, fastest)
             leave_pos = ties[np.argmin(basis[ties]) if bland else np.argmax(near)]
             t = step[leave_pos]
         if not math.isfinite(t):

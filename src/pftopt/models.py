@@ -1,15 +1,16 @@
 """Builders that turn networks, distance matrices, and adjacency structures
 into solvable mixed-integer problems.
 
-Each builder is a pure function returning a MipProblem; nothing here touches
-the solver. A builder fills dense numpy blocks (objective, equality rows,
-<= rows, bounds) and hands them to `LinearProgram`, which copies and checks
-them once. Distances come in as the checked array of a `DistanceMatrix`,
-indexed directly. Bounds default to [0, inf); builders state only other
-bounds, and `MipProblem` clamps binary variables into [0, 1]. Variable names
-concatenate the ids of the underlying formulations (arc variables "X<i><j>",
-assignment variables "Y<i><j>", placement variables "X<j>"), so multi-digit
-ids can collide.
+Each builder is a pure function returning a MipProblem and never calls the
+solver; only `min_colors` solves, one coloring model per color count. A
+builder fills dense numpy blocks (objective, equality rows, <= rows, bounds)
+and hands them to `LinearProgram`, which copies and checks them once.
+Distances come in as the checked array of a `DistanceMatrix`, indexed
+directly. Bounds default to [0, inf); builders state only other bounds, and
+`MipProblem` clamps binary variables into [0, 1]. Variable names concatenate
+the ids of the underlying formulations (arc variables "X<i><j>", assignment
+variables "Y<i><j>", placement variables "X<j>"), so multi-digit ids can
+collide.
 """
 
 from __future__ import annotations
@@ -390,10 +391,8 @@ def build_coloring(adj: AdjacencySet, colors: int) -> MipProblem:
 
 @dataclass(frozen=True)
 class MinColorsResult:
-    found: bool
-    colors: int | None
+    colors: int | None  # None when no count up to max_colors works
     assignment: dict = field(default_factory=dict)  # area -> color index (0-based)
-    max_tried: int = 0
 
 
 def min_colors(adj: AdjacencySet, max_colors: int) -> MinColorsResult:
@@ -413,8 +412,8 @@ def min_colors(adj: AdjacencySet, max_colors: int) -> MinColorsResult:
                 for i, area in enumerate(areas):
                     if outcome.x[color * n_areas + i] > 0.5:
                         assignment[area] = color
-            return MinColorsResult(found=True, colors=k, assignment=assignment, max_tried=k)
-    return MinColorsResult(found=False, colors=None, max_tried=max_colors)
+            return MinColorsResult(colors=k, assignment=assignment)
+    return MinColorsResult(colors=None)
 
 
 def build_service_coverage(d: DistanceMatrix, p: int) -> MipProblem:
@@ -444,43 +443,27 @@ def build_service_coverage(d: DistanceMatrix, p: int) -> MipProblem:
     return MipProblem(base=base, kinds=[VarKind.BINARY] * n, names=names)
 
 
-class FixedCapacity:
-    """Supply mode: each supplier i ships at most its stated capacity."""
-
-    def __init__(self, capacities):
-        self.capacities = tuple(float(u) for u in capacities)
-
-
-class DesignCapacity:
-    """Supply mode: each supplier may ship up to the total demand; the solve
-    reveals the cost-minimal capacity to design for."""
-
-
-def build_transportation(cost: DistanceMatrix, demand, supply_mode) -> MipProblem:
-    """Integer shipments X_ij meeting every store's demand exactly, with
-    supplier rows capped by fixed or design capacity."""
+def build_transportation(cost: DistanceMatrix, demand, capacity) -> MipProblem:
+    """Integer shipments X_ij meeting every store's demand exactly, with one
+    capacity per supplier capping its row (a design capacity is the total
+    demand for each supplier)."""
     m_sup = len(cost.from_ids)
     n_dem = len(cost.to_ids)
     demand = [float(v) for v in demand]
+    capacity = [float(u) for u in capacity]
     if len(demand) != n_dem:
         raise InputError("one demand per store required")
     _check_amounts(demand, cost.to_ids, "demand of store")
-    if isinstance(supply_mode, FixedCapacity):
-        caps = supply_mode.capacities
-        if len(caps) != m_sup:
-            raise InputError("one capacity per supplier required")
-        _check_amounts(caps, cost.from_ids, "capacity of supplier")
-    elif isinstance(supply_mode, DesignCapacity):
-        caps = tuple(sum(demand) for _ in range(m_sup))
-    else:
-        raise InputError(f"unknown supply mode {supply_mode!r}")
+    if len(capacity) != m_sup:
+        raise InputError("one capacity per supplier required")
+    _check_amounts(capacity, cost.from_ids, "capacity of supplier")
     # X_ij at i * n_dem + j; demand rows meet each store, supply rows cap each supplier.
     base = LinearProgram(
         cost.d.ravel(),
         np.tile(np.eye(n_dem), m_sup),
         demand,
         np.kron(np.eye(m_sup), np.ones((1, n_dem))),
-        caps,
+        capacity,
     )
     names = [
         f"X{cost.from_ids[i]}{cost.to_ids[j]}" for i in range(m_sup) for j in range(n_dem)

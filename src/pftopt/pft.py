@@ -36,7 +36,6 @@ __all__ = [
     "PftParseError",
     "AuditFinding",
     "AuditKind",
-    "AuditReport",
     "parse_pft",
     "render_pft",
     "audit_pft",
@@ -103,14 +102,6 @@ class AuditFinding:
     kind: AuditKind
     subject: str
     message: str
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    findings: tuple
-
-    def __iter__(self):
-        return iter(self.findings)
 
 
 _PRAGMA = re.compile(r"^#PFT v1 dir=(min|max) title=(.*)$")
@@ -272,10 +263,10 @@ def render_pft(pft: Pft) -> str:
     return out.getvalue()
 
 
-def audit_pft(pft: Pft) -> AuditReport:
+def audit_pft(pft: Pft) -> tuple[AuditFinding, ...]:
     """Run the four structural checks: trivial constraints, fixed variables
     masquerading as decisions, unconstrained variables, and simple bounds
-    written as full rows."""
+    written as full rows. Returns the findings, constraints first."""
     findings: list[AuditFinding] = []
     counts = np.count_nonzero(pft.A, axis=1).tolist()
     totals = pft.A.sum(axis=1).tolist()  # the lone coefficient when counts[j] == 1
@@ -296,7 +287,7 @@ def audit_pft(pft: Pft) -> AuditReport:
         name = pft.names[i]
         message = f"variable {name} appears in no constraint (unconstrained)"
         findings.append(AuditFinding(AuditKind.ZERO_ROW, name, message))
-    return AuditReport(findings=tuple(findings))
+    return tuple(findings)
 
 
 def compile_pft(pft: Pft) -> MipProblem:

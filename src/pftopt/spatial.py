@@ -73,7 +73,8 @@ class GeoPoint:
 
 def parse_gal(text: str) -> SpatialWeights:
     """Parse a `.gal` file: a header line whose second token is the area
-    count, then alternating `<area> <neighbor-count>` and neighbor-id lines."""
+    count, then alternating `<area> <neighbor-count>` and neighbor-id lines,
+    exactly one record per counted area."""
     lines = text.splitlines()
     if not lines or not lines[0].split():
         raise GalParseError("empty file", 1)
@@ -122,6 +123,9 @@ def parse_gal(text: str) -> SpatialWeights:
                 )
             idx += 1
         neighbors[area] = nb_tokens
+    rest = [k for k in range(idx, len(lines)) if lines[k].split()]
+    if rest:
+        raise GalParseError(f"record beyond the {count} declared areas", rest[0] + 1)
     unknown = {nb for nbs in neighbors.values() for nb in nbs} - set(neighbors)
     if unknown:
         warnings.warn(f"neighbor ids not listed as areas: {sorted(unknown)}")

@@ -5,7 +5,6 @@ terminal-summary hook in conftest so pytest capture cannot hide it) and then
 asserts each of its sub-checks so a failure pinpoints the criterion involved.
 """
 
-import itertools
 import math
 import random
 
@@ -13,17 +12,23 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
+from model_oracles import (
+    capture_oracle,
+    chromatic_oracle,
+    cover_oracle,
+    network,
+    selected,
+    service_oracle,
+    tour_oracle,
+)
 
 from pftopt import models
 from pftopt.branch_bound import solve_mip
 from pftopt.linprog import LinearProgram, Status, solve_lp
 from pftopt.models import (
     AdjacencySet,
-    DesignCapacity,
     DistanceMatrix,
-    FixedCapacity,
     InputError,
-    Network,
     PathSet,
 )
 from pftopt.pft import compile_pft, parse_pft, render_pft
@@ -80,45 +85,19 @@ def _report(number: int, label: str, checks) -> None:
         assert passed, f"criterion {number} sub-check failed: {name}"
 
 
-def _network(weights, capacities=None):
-    arcs = tuple(
-        (t, h, w, math.inf if capacities is None else float(capacities[(t, h)]))
-        for (t, h), w in weights.items()
-    )
-    return Network(node_ids=tuple(range(1, 8)), arcs=arcs)
-
-
-def _selected(mip, out, prefix="X"):
-    return {
-        name
-        for name, value in zip(mip.names, out.x)
-        if name.startswith(prefix) and value > 0.5
-    }
-
-
 def _values(mip, out):
     return dict(zip(mip.names, out.x))
 
 
 def test_criterion_1_shortest_path():
-    mip = models.build_shortest_path(_network(ROAD), 1, 7)
+    mip = models.build_shortest_path(network(ROAD), 1, 7)
     out = solve_mip(mip)
     _report(1, "shortest path", [
         ("status Optimal", out.status is Status.OPTIMAL),
         ("objective exactly 1867", round(out.objective_value) == 1867
          and abs(out.objective_value - 1867.0) < 1e-9),
-        ("selected arcs {X14, X47}", _selected(mip, out) == {"X14", "X47"}),
+        ("selected arcs {X14, X47}", selected(mip, out) == {"X14", "X47"}),
     ])
-
-
-def _capture_oracle(routes, candidates, p):
-    best = 0.0
-    for subset in itertools.combinations(candidates, p):
-        captured = sum(
-            flow for path, flow in routes if set(path) & set(subset)
-        )
-        best = max(best, captured)
-    return best
 
 
 def test_criterion_2_flow_capture():
@@ -135,25 +114,15 @@ def test_criterion_2_flow_capture():
     checks.append(("p=3 objective 15", out3.status is Status.OPTIMAL
                    and abs(out3.objective_value - 15.0) < 1e-9))
     checks.append(("p=3 placements {X2, X3, X4}",
-                   _selected(mip3, out3, "X") == {"X2", "X3", "X4"}))
+                   selected(mip3, out3, "X") == {"X2", "X3", "X4"}))
     out4 = solve_mip(models.build_flow_capture(ps, candidates, 4))
     checks.append(("p=4 objective 15", abs(out4.objective_value - 15.0) < 1e-9))
     out2 = solve_mip(models.build_flow_capture(ps, candidates, 2))
-    oracle2 = _capture_oracle(ROUTES, candidates, 2)
+    oracle2 = capture_oracle(ROUTES, candidates, 2)
     checks.append(("p=2 strictly below 15", out2.objective_value < 15.0 - 1e-9))
     checks.append(("p=2 equals C(5,2) oracle",
                    abs(out2.objective_value - oracle2) < 1e-9))
     _report(2, "flow capturing", checks)
-
-
-def _cover_oracle(areas, closed, costs):
-    best = math.inf
-    for mask in range(1 << len(areas)):
-        picked = {areas[i] for i in range(len(areas)) if mask >> i & 1}
-        if all(closed[a] & picked for a in areas):
-            cost = sum(costs[i] for i in range(len(areas)) if mask >> i & 1)
-            best = min(best, cost)
-    return best
 
 
 def test_criterion_3_set_cover():
@@ -170,40 +139,11 @@ def test_criterion_3_set_cover():
     mip = models.build_set_cover(adj, costs)
     out = solve_mip(mip)
     checks.append(("waterfront exactly 3 placements",
-                   len(_selected(mip, out)) == 3))
-    oracle = _cover_oracle(adj.area_ids, closed, costs)
+                   len(selected(mip, out)) == 3))
+    oracle = cover_oracle(adj.area_ids, closed, costs)
     checks.append(("waterfront cost equals brute force",
                    abs(out.objective_value - oracle) < 1e-9))
     _report(3, "set covering", checks)
-
-
-def _chromatic_oracle(areas, pairs):
-    adjacency = {a: set() for a in areas}
-    for a, b in pairs:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    order = sorted(areas, key=lambda a: -len(adjacency[a]))
-
-    def colorable(k):
-        assigned = {}
-
-        def place(idx):
-            if idx == len(order):
-                return True
-            area = order[idx]
-            for color in range(k):
-                if all(assigned.get(nb) != color for nb in adjacency[area]):
-                    assigned[area] = color
-                    if place(idx + 1):
-                        return True
-                    del assigned[area]
-            return False
-
-        return place(0)
-
-    for k in itertools.count(1):
-        if colorable(k):
-            return k
 
 
 def test_criterion_4_coloring():
@@ -215,9 +155,9 @@ def test_criterion_4_coloring():
     four = solve_mip(models.build_coloring(adj, 4))
     checks.append(("K=4 feasible", four.status is Status.OPTIMAL))
     result = models.min_colors(adj, 11)
-    oracle = _chromatic_oracle(adj.area_ids, BOUNDARY_PAIRS)
+    oracle = chromatic_oracle(adj.area_ids, BOUNDARY_PAIRS)
     checks.append(("min_colors matches backtracking oracle",
-                   result.found and result.colors == oracle))
+                   result.colors is not None and result.colors == oracle))
     one = solve_mip(models.build_coloring(adj, 1))
     checks.append(("K=1 infeasible", one.status is Status.INFEASIBLE))
     _report(4, "coloring", checks)
@@ -227,12 +167,12 @@ def test_criterion_5_transportation():
     cost = DistanceMatrix(from_ids=("A", "B"), to_ids=(1, 2, 3, 4, 5), d=SHIP_COST)
     checks = []
     fixed = solve_mip(
-        models.build_transportation(cost, STORE_DEMAND, FixedCapacity((1000, 3200)))
+        models.build_transportation(cost, STORE_DEMAND, (1000, 3200))
     )
     checks.append(("fixed capacity objective 8600",
                    fixed.status is Status.OPTIMAL
                    and abs(fixed.objective_value - 8600.0) < 1e-9))
-    mip = models.build_transportation(cost, STORE_DEMAND, DesignCapacity())
+    mip = models.build_transportation(cost, STORE_DEMAND, [sum(STORE_DEMAND)] * 2)
     out = solve_mip(mip)
     checks.append(("design objective 8400",
                    out.status is Status.OPTIMAL
@@ -248,7 +188,7 @@ def test_criterion_5_transportation():
 
 
 def test_criterion_6_max_flow():
-    net = _network({arc: 1.0 for arc in CAPACITIES}, CAPACITIES)
+    net = network({arc: 1.0 for arc in CAPACITIES}, CAPACITIES)
     mip = models.build_max_flow(net, 1, 7)
     out = solve_mip(mip)
     checks = [
@@ -332,18 +272,6 @@ def test_criterion_7_facility_location():
     _report(7, "facility location", checks)
 
 
-def _tour_oracle(d, required_arc=None):
-    n = len(d)
-    best = math.inf
-    for perm in itertools.permutations(range(1, n)):
-        order = (0,) + perm
-        arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
-        if required_arc is not None and required_arc not in arcs:
-            continue
-        best = min(best, sum(d[a][b] for a, b in arcs))
-    return best
-
-
 def test_criterion_8_tour():
     rng = random.Random(20260826)
     checks = []
@@ -359,7 +287,7 @@ def test_criterion_8_tour():
         out = solve_mip(mip)
         checks.append((f"instance {trial} matches enumeration",
                        out.status is Status.OPTIMAL
-                       and abs(out.objective_value - _tour_oracle(d)) < 1e-6))
+                       and abs(out.objective_value - tour_oracle(d)) < 1e-6))
         u = sorted(
             round(v) for name, v in zip(mip.names, out.x) if name.startswith("U")
         )
@@ -367,19 +295,10 @@ def test_criterion_8_tour():
                        u == list(range(1, n + 1))))
         i0, j0 = rng.sample(range(n), 2)
         forced_out = solve_mip(models.force_arc(mip, i0 + 1, j0 + 1))
-        forced_oracle = _tour_oracle(d, (i0, j0))
+        forced_oracle = tour_oracle(d, (i0, j0))
         checks.append((f"instance {trial} forced arc matches restricted enumeration",
                        abs(forced_out.objective_value - forced_oracle) < 1e-6))
     _report(8, "tour", checks)
-
-
-def _service_oracle(d, p):
-    m = len(d[0])
-    best = math.inf
-    for subset in itertools.combinations(range(m), p):
-        total = sum(min(row[j] for j in subset) for row in d)
-        best = min(best, total)
-    return best
 
 
 def test_criterion_9_service_coverage():
@@ -392,7 +311,7 @@ def test_criterion_9_service_coverage():
         out = solve_mip(models.build_service_coverage(dm, 3))
         checks.append((f"instance {trial} matches C(9,3) oracle",
                        out.status is Status.OPTIMAL
-                       and abs(out.objective_value - _service_oracle(d, 3)) < 1e-6))
+                       and abs(out.objective_value - service_oracle(d, 3)) < 1e-6))
     _report(9, "service coverage", checks)
 
 

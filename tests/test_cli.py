@@ -314,6 +314,17 @@ class TestSpatialCommands:
         )
         assert code == 2
         assert "Infeasible" in out
+        assert out == "status: Infeasible\nno coloring with up to 1 colors\n"
+
+    def test_color_json(self, fixtures):
+        demo = str(fixtures / "demo.gal")
+        code, out, _ = _run(["color", "--gal", demo, "--max-colors", "1", "--json"])
+        assert code == 2
+        assert out == json.dumps({"status": "Infeasible", "max_colors": 1}, indent=2) + "\n"
+        code, out, _ = _run(["color", "--gal", demo, "--max-colors", "3", "--json"])
+        assert code == 0
+        doc = {"status": "Optimal", "colors": 2, "assignment": {"A": 0, "C": 0, "B": 1}}
+        assert out == json.dumps(doc, indent=2) + "\n"
 
     def test_color_writes_assignment(self, fixtures, tmp_path):
         out_path = tmp_path / "colors.csv"
@@ -343,6 +354,16 @@ class TestSpatialCommands:
         code, _, err = _run(["color", "--gal", str(path), "--max-colors", "2"])
         assert code == PARSE_ERROR
         assert "parse error" in err
+
+    @pytest.mark.parametrize(
+        "command", [["cover"], ["color", "--max-colors", "2"]], ids=["cover", "color"]
+    )
+    def test_gal_record_beyond_declared_count_exits_65(self, tmp_path, command):
+        path = tmp_path / "extra.gal"
+        path.write_text("0 2 x id\n1 1\n2\n2 1\n1\n3 1\n1\n")
+        code, out, err = _run([command[0], "--gal", str(path), *command[1:]])
+        assert code == PARSE_ERROR
+        assert out == "" and err == "parse error: record beyond the 2 declared areas (line 6)\n"
 
 
 class TestTableCommands:

@@ -108,6 +108,15 @@ class TestStatuses:
         assert out.status is Status.ITERATION_LIMIT
         assert out.status == 1
 
+    def test_iteration_limit_in_phase_1(self):
+        # Both equality rows start violated; the cap stops phase 1 after one pivot.
+        lp = LinearProgram([1.0, 1.0], A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[4.0, 0.0])
+        capped = solve_lp(lp, SolveLimits(max_iterations=1))
+        assert capped.status is Status.ITERATION_LIMIT
+        assert capped.iterations == 1 and capped.x is None
+        out = solve_lp(lp)
+        assert out.status is Status.OPTIMAL and out.iterations == 2
+
     def test_unbounded_reports_the_pivots_made(self):
         # One pivot brings x1 into the basis; the ray x1 = x2 + 1 then runs free.
         lp = LinearProgram([-1.0, -1.0], A_ub=[[1.0, -1.0]], b_ub=[1.0])
@@ -296,6 +305,13 @@ class TestProperties:
         # The two columns' violations differ by 1e-13, inside the 1e-12 band,
         # so column 0 enters although column 1's is larger by roundoff.
         out = solve_lp(LinearProgram([-1.0, -(1 + 1e-13)], A_ub=[[1.0, 1.0]], b_ub=[1.0]))
+        assert out.status is Status.OPTIMAL
+        assert np.array_equal(out.x, [1.0, 0.0])
+
+    def test_pricing_band_scales_with_the_largest_violation(self):
+        # Violations near 300 differ by 3e-12, a few ulps of 300: outside an
+        # absolute 1e-12 band but inside 1e-12 * 300, so column 0 enters.
+        out = solve_lp(LinearProgram([-300.0, -300.000000000003], A_ub=[[1.0, 1.0]], b_ub=[1.0]))
         assert out.status is Status.OPTIMAL
         assert np.array_equal(out.x, [1.0, 0.0])
 

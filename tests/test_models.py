@@ -8,14 +8,22 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from model_oracles import (
+    capture_oracle,
+    chromatic_oracle,
+    cover_oracle,
+    network,
+    selected,
+    service_oracle,
+    tour_oracle,
+)
+
 from pftopt import models
 from pftopt.branch_bound import solve_mip
 from pftopt.linprog import Status, solve_lp
 from pftopt.models import (
     AdjacencySet,
-    DesignCapacity,
     DistanceMatrix,
-    FixedCapacity,
     InputError,
     Network,
     PathSet,
@@ -49,27 +57,10 @@ SHIP_COST = ((2, 4, 5, 2, 1), (3, 1, 3, 2, 3))
 STORE_DEMAND = (500, 900, 1800, 200, 700)
 
 
-def _network(weights, capacities=None):
-    arcs = tuple(
-        (t, h, w, math.inf if capacities is None else capacities[(t, h)])
-        for (t, h), w in weights.items()
-    )
-    nodes = tuple(range(1, 8))
-    return Network(node_ids=nodes, arcs=arcs)
-
-
 def _adjacency(pairs, areas):
     return AdjacencySet(
         area_ids=tuple(areas), pairs=frozenset(frozenset(p) for p in pairs)
     )
-
-
-def _selected(mip, out, prefix="X"):
-    return {
-        name
-        for name, value in zip(mip.names, out.x)
-        if name.startswith(prefix) and value > 0.5
-    }
 
 
 class TestNetworkValidation:
@@ -159,16 +150,16 @@ class TestShortestPath:
         return nx.dijkstra_path_length(g, s, t)
 
     def test_road_miles(self):
-        net = _network(ROAD)
+        net = network(ROAD)
         mip = models.build_shortest_path(net, 1, 7)
         out = solve_mip(mip)
         assert out.status is Status.OPTIMAL
         assert out.objective_value == pytest.approx(1867.0)
-        assert _selected(mip, out) == {"X14", "X47"}
+        assert selected(mip, out) == {"X14", "X47"}
         assert out.objective_value == pytest.approx(self._dijkstra(ROAD, 1, 7))
 
     def test_geodesic_miles_matches_dijkstra(self):
-        net = _network(GEODESIC)
+        net = network(GEODESIC)
         out = solve_mip(models.build_shortest_path(net, 1, 7))
         assert out.status is Status.OPTIMAL
         assert out.objective_value == pytest.approx(self._dijkstra(GEODESIC, 1, 7))
@@ -178,7 +169,7 @@ class TestShortestPath:
         mip = models.build_shortest_path(net, "s", "t")
         out = solve_mip(mip)
         assert out.objective_value == pytest.approx(7.0)
-        assert _selected(mip, out) == {"Xst"}
+        assert selected(mip, out) == {"Xst"}
 
     def test_solution_is_a_simple_path(self):
         rng = random.Random(424242)
@@ -216,20 +207,7 @@ class TestShortestPath:
 
     def test_unknown_terminal(self):
         with pytest.raises(InputError):
-            models.build_shortest_path(_network(ROAD), 1, 99)
-
-
-def _tour_oracle(d):
-    """Exhaustive minimum closed-tour length for a square matrix."""
-    n = len(d)
-    best = math.inf
-    for perm in itertools.permutations(range(1, n)):
-        order = (0,) + perm
-        length = sum(
-            d[order[i]][order[(i + 1) % n]] for i in range(n)
-        )
-        best = min(best, length)
-    return best
+            models.build_shortest_path(network(ROAD), 1, 99)
 
 
 def _random_symmetric(rng, n):
@@ -258,7 +236,7 @@ class TestTour:
             mip = models.build_tour(dm)
             out = solve_mip(mip)
             assert out.status is Status.OPTIMAL
-            assert out.objective_value == pytest.approx(_tour_oracle(d))
+            assert out.objective_value == pytest.approx(tour_oracle(d))
             u = sorted(
                 round(v) for name, v in zip(mip.names, out.x) if name.startswith("U")
             )
@@ -271,7 +249,7 @@ class TestTour:
         dm = DistanceMatrix(from_ids=ids, to_ids=ids, d=d)
         mip = models.build_tour(dm)
         out = solve_mip(mip)
-        chosen = sorted(_selected(mip, out))[0]
+        chosen = sorted(selected(mip, out))[0]
         i, j = int(chosen[1]), int(chosen[2])
         forced = solve_mip(models.force_arc(mip, i, j))
         assert forced.objective_value == pytest.approx(out.objective_value)
@@ -345,16 +323,6 @@ class TestTour:
             models.force_arc(models.build_tour(dm), 1, 9)
 
 
-def _cover_oracle(areas, closed, costs):
-    best = math.inf
-    n = len(areas)
-    for mask in range(1 << n):
-        picked = {areas[i] for i in range(n) if mask >> i & 1}
-        if all(closed[a] & picked for a in areas):
-            best = min(best, sum(costs[i] for i in range(n) if mask >> i & 1))
-    return best
-
-
 class TestSetCover:
     def _closed(self, adj):
         return {a: {a, *adj.neighbors(a)} for a in adj.area_ids}
@@ -365,7 +333,7 @@ class TestSetCover:
         out = solve_mip(mip)
         assert out.status is Status.OPTIMAL
         assert out.objective_value == pytest.approx(3.0)
-        picked = {int(name[1:]) for name in _selected(mip, out)}
+        picked = {int(name[1:]) for name in selected(mip, out)}
         closed = self._closed(adj)
         assert all(closed[a] & picked for a in adj.area_ids)
 
@@ -375,16 +343,16 @@ class TestSetCover:
         mip = models.build_set_cover(adj, costs)
         out = solve_mip(mip)
         assert out.status is Status.OPTIMAL
-        oracle = _cover_oracle(adj.area_ids, self._closed(adj), costs)
+        oracle = cover_oracle(adj.area_ids, self._closed(adj), costs)
         assert out.objective_value == pytest.approx(oracle)
-        assert len(_selected(mip, out)) == 3
+        assert len(selected(mip, out)) == 3
 
     def test_isolated_area_covers_itself(self):
         adj = _adjacency([], ["only"])
         mip = models.build_set_cover(adj, [4.0])
         out = solve_mip(mip)
         assert out.objective_value == pytest.approx(4.0)
-        assert _selected(mip, out) == {"Xonly"}
+        assert selected(mip, out) == {"Xonly"}
 
     def test_cost_length_mismatch(self):
         adj = _adjacency([], [1, 2])
@@ -425,7 +393,7 @@ class TestPathEnumeration:
 
     def test_deterministic_ascending_order(self):
         weights = {k: 1.0 for k in ROAD}
-        net = _network(weights)
+        net = network(weights)
         ps = models.enumerate_st_paths(net, 1, 7)
         assert ps.paths == tuple(sorted(ps.paths))
 
@@ -441,16 +409,6 @@ class TestPathEnumeration:
             models.enumerate_st_paths(net, s, t)
 
 
-def _capture_oracle(routes, candidates, p):
-    best = 0.0
-    for subset in itertools.combinations(candidates, p):
-        captured = sum(
-            flow for path, flow in routes if set(path) & set(subset)
-        )
-        best = max(best, captured)
-    return best
-
-
 class TestFlowCapture:
     PS = PathSet(
         source=1,
@@ -464,14 +422,14 @@ class TestFlowCapture:
         out = solve_mip(mip)
         assert out.status is Status.OPTIMAL
         assert out.objective_value == pytest.approx(15.0)
-        assert _selected(mip, out, "X") == {"X2", "X3", "X4"}
+        assert selected(mip, out, "X") == {"X2", "X3", "X4"}
 
     def test_objective_monotone_in_p_and_matches_oracle(self):
         values = []
         for p in (1, 2, 3, 4, 5):
             out = solve_mip(models.build_flow_capture(self.PS, (2, 3, 4, 5, 6), p))
             assert out.objective_value == pytest.approx(
-                _capture_oracle(ROUTES, (2, 3, 4, 5, 6), p)
+                capture_oracle(ROUTES, (2, 3, 4, 5, 6), p)
             )
             values.append(out.objective_value)
         assert values == sorted(values)
@@ -480,7 +438,7 @@ class TestFlowCapture:
     def test_captured_paths_have_a_placement(self):
         mip = models.build_flow_capture(self.PS, (2, 3, 4, 5, 6), 2)
         out = solve_mip(mip)
-        placed = {int(name[1:]) for name in _selected(mip, out, "X")}
+        placed = {int(name[1:]) for name in selected(mip, out, "X")}
         for r, (path, _) in enumerate(ROUTES):
             y = out.x[mip.names.index(f"Y{r + 1}")]
             if y > 0.5:
@@ -499,37 +457,6 @@ class TestFlowCapture:
             models.build_flow_capture(self.PS, (2, 3), -1)
 
 
-def _chromatic_oracle(areas, pairs):
-    """Smallest K admitting a proper coloring, by backtracking."""
-    adjacency = {a: set() for a in areas}
-    for a, b in pairs:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    order = sorted(areas, key=lambda a: -len(adjacency[a]))
-
-    def colorable(k):
-        assigned = {}
-
-        def place(idx):
-            if idx == len(order):
-                return True
-            area = order[idx]
-            for color in range(k):
-                if all(assigned.get(nb) != color for nb in adjacency[area]):
-                    assigned[area] = color
-                    if place(idx + 1):
-                        return True
-                    del assigned[area]
-            return False
-
-        return place(0)
-
-    k = 1
-    while not colorable(k):
-        k += 1
-    return k
-
-
 class TestColoring:
     def test_triangle(self):
         adj = _adjacency([(1, 2), (2, 3), (1, 3)], (1, 2, 3))
@@ -543,35 +470,25 @@ class TestColoring:
     def test_min_colors_matches_backtracking(self):
         adj = _adjacency(BOUNDARY_PAIRS, range(1, 12))
         result = models.min_colors(adj, 11)
-        assert result.found
-        assert result.colors == _chromatic_oracle(adj.area_ids, BOUNDARY_PAIRS)
+        assert result.colors is not None
+        assert result.colors == chromatic_oracle(adj.area_ids, BOUNDARY_PAIRS)
         for a, b in BOUNDARY_PAIRS:
             assert result.assignment[a] != result.assignment[b]
 
     def test_edgeless_map_needs_one_color(self):
         adj = _adjacency([], range(5))
         result = models.min_colors(adj, 5)
-        assert result.found and result.colors == 1
+        assert result.colors is not None and result.colors == 1
 
     def test_not_found_reports_max_tried(self):
         adj = _adjacency([(1, 2), (2, 3), (1, 3)], (1, 2, 3))
         result = models.min_colors(adj, 2)
-        assert not result.found
-        assert result.max_tried == 2
+        assert result.colors is None
 
     def test_max_colors_below_one_rejected(self):
         adj = _adjacency([(1, 2)], (1, 2))
         with pytest.raises(InputError, match="max_colors must be >= 1, got 0"):
             models.min_colors(adj, 0)
-
-
-def _service_oracle(d, p):
-    n, m = len(d), len(d[0])
-    best = math.inf
-    for subset in itertools.combinations(range(m), p):
-        total = sum(min(d[i][j] for j in subset) for i in range(n))
-        best = min(best, total)
-    return best
 
 
 class TestServiceCoverage:
@@ -592,8 +509,8 @@ class TestServiceCoverage:
             mip = models.build_service_coverage(dm, 3)
             out = solve_mip(mip)
             assert out.status is Status.OPTIMAL
-            assert out.objective_value == pytest.approx(_service_oracle(d, 3))
-            assert len(_selected(mip, out, "X")) == 3
+            assert out.objective_value == pytest.approx(service_oracle(d, 3))
+            assert len(selected(mip, out, "X")) == 3
 
     def test_all_open_serves_nearest(self):
         d = [[4.0, 2.0, 9.0], [1.0, 8.0, 8.0]]
@@ -617,18 +534,18 @@ class TestTransportation:
 
     def test_trivial_single_lane(self):
         cost = DistanceMatrix(from_ids=("A",), to_ids=(1,), d=((2.0,),))
-        out = solve_mip(models.build_transportation(cost, [5], FixedCapacity([9])))
+        out = solve_mip(models.build_transportation(cost, [5], [9]))
         assert out.objective_value == pytest.approx(10.0)
         assert out.x[0] == pytest.approx(5.0)
 
     def test_fixed_capacity(self):
-        mip = models.build_transportation(self.COST, STORE_DEMAND, FixedCapacity([1000, 3200]))
+        mip = models.build_transportation(self.COST, STORE_DEMAND, [1000, 3200])
         out = solve_mip(mip)
         assert out.status is Status.OPTIMAL
         assert out.objective_value == pytest.approx(8600.0)
 
     def test_design_capacity(self):
-        mip = models.build_transportation(self.COST, STORE_DEMAND, DesignCapacity())
+        mip = models.build_transportation(self.COST, STORE_DEMAND, [sum(STORE_DEMAND)] * 2)
         out = solve_mip(mip)
         assert out.status is Status.OPTIMAL
         assert out.objective_value == pytest.approx(8400.0)
@@ -637,34 +554,34 @@ class TestTransportation:
         assert shipped_a + shipped_b == pytest.approx(sum(STORE_DEMAND))
 
     def test_demands_met_exactly(self):
-        mip = models.build_transportation(self.COST, STORE_DEMAND, FixedCapacity([1000, 3200]))
+        mip = models.build_transportation(self.COST, STORE_DEMAND, [1000, 3200])
         out = solve_mip(mip)
         for j, demand in enumerate(STORE_DEMAND):
             assert out.x[j] + out.x[5 + j] == pytest.approx(demand)
 
     def test_insufficient_capacity_is_infeasible_solve(self):
-        mip = models.build_transportation(self.COST, STORE_DEMAND, FixedCapacity([100, 100]))
+        mip = models.build_transportation(self.COST, STORE_DEMAND, [100, 100])
         assert solve_mip(mip).status is Status.INFEASIBLE
 
     def test_demand_length_checked(self):
         with pytest.raises(InputError):
-            models.build_transportation(self.COST, [1, 2], FixedCapacity([10, 10]))
+            models.build_transportation(self.COST, [1, 2], [10, 10])
 
     @pytest.mark.parametrize(
-        "demand, mode, message",
+        "demand, capacity, message",
         [
-            ([-3, -3, 1, 1, 1], FixedCapacity([1000, 3200]), "demand of store 1 .* got -3"),
-            ([-3, -3, 1, 1, 1], DesignCapacity(), "demand of store 1 .* got -3"),
-            ([1, 1, math.nan, 1, 1], FixedCapacity([1000, 3200]), "demand of store 3 .* got nan"),
-            (STORE_DEMAND, FixedCapacity([1000, -5]), "capacity of supplier B .* got -5"),
-            (STORE_DEMAND, FixedCapacity([math.inf, 3200]), "capacity of supplier A .* got inf"),
+            ([-3, -3, 1, 1, 1], [1000, 3200], "demand of store 1 .* got -3"),
+            ([-3, -3, 1, 1, 1], [sum(STORE_DEMAND)] * 2, "demand of store 1 .* got -3"),
+            ([1, 1, math.nan, 1, 1], [1000, 3200], "demand of store 3 .* got nan"),
+            (STORE_DEMAND, [1000, -5], "capacity of supplier B .* got -5"),
+            (STORE_DEMAND, [math.inf, 3200], "capacity of supplier A .* got inf"),
         ],
         ids=["negative-demand", "negative-demand-design", "nan-demand", "negative-capacity",
              "infinite-capacity"],
     )
-    def test_negative_or_non_finite_amount_rejected(self, demand, mode, message):
+    def test_negative_or_non_finite_amount_rejected(self, demand, capacity, message):
         with pytest.raises(InputError, match=message):
-            models.build_transportation(self.COST, demand, mode)
+            models.build_transportation(self.COST, demand, capacity)
 
 
 class TestMaxFlow:
@@ -675,7 +592,7 @@ class TestMaxFlow:
         return nx.maximum_flow_value(g, s, t)
 
     def test_seven_node_network(self):
-        net = _network({k: 1.0 for k in CAPACITIES}, CAPACITIES)
+        net = network({k: 1.0 for k in CAPACITIES}, CAPACITIES)
         mip = models.build_max_flow(net, 1, 7)
         out = solve_mip(mip)
         assert out.status is Status.OPTIMAL
@@ -683,7 +600,7 @@ class TestMaxFlow:
         assert out.objective_value == pytest.approx(self._oracle(CAPACITIES, 1, 7))
 
     def test_conservation_at_intermediate_nodes(self):
-        net = _network({k: 1.0 for k in CAPACITIES}, CAPACITIES)
+        net = network({k: 1.0 for k in CAPACITIES}, CAPACITIES)
         mip = models.build_max_flow(net, 1, 7)
         out = solve_mip(mip)
         arcs = [(t, h) for t, h, _, _ in net.arcs]
@@ -693,7 +610,7 @@ class TestMaxFlow:
             assert abs(inflow - outflow) <= 1e-7
 
     def test_sink_cap(self):
-        net = _network({k: 1.0 for k in CAPACITIES}, CAPACITIES)
+        net = network({k: 1.0 for k in CAPACITIES}, CAPACITIES)
         out = solve_mip(models.build_max_flow(net, 1, 7, sink_cap=5.0))
         assert out.objective_value == pytest.approx(5.0)
 
@@ -747,7 +664,7 @@ def _facility_oracle(unit_cost, fixed, demand, capacity):
             d=tuple(tuple(unit_cost[i]) for i in open_set),
         )
         mip = models.build_transportation(
-            cost, demand, FixedCapacity([capacity[i] for i in open_set])
+            cost, demand, [capacity[i] for i in open_set]
         )
         out = solve_lp(mip.base)
         if out.status is Status.OPTIMAL:
@@ -786,7 +703,7 @@ class TestFacilityLocation:
         mip = models.build_facility_location(cost, [0.0], [4, 6], [10])
         out = solve_mip(mip)
         transport = solve_mip(
-            models.build_transportation(cost, [4, 6], FixedCapacity([10]))
+            models.build_transportation(cost, [4, 6], [10])
         )
         assert out.objective_value == pytest.approx(transport.objective_value)
 

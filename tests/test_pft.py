@@ -212,7 +212,7 @@ def test_render_parse_round_trip(text):
 
 class TestAudit:
     def test_clean_table_has_no_findings(self):
-        assert audit_pft(parse_pft(SIMPLE)).findings == ()
+        assert audit_pft(parse_pft(SIMPLE)) == ()
 
     def test_zero_column(self, fixtures):
         # Re-add the all-zero input column for the start node that the
@@ -249,7 +249,7 @@ class TestAudit:
             "@sense,,eq,\n"
             "@rhs,,4,\n"
         )
-        findings = audit_pft(parse_pft(text)).findings
+        findings = audit_pft(parse_pft(text))
         assert [f.kind for f in findings if f.kind is AuditKind.EQ_COLUMN_SINGLETON] == [
             AuditKind.EQ_COLUMN_SINGLETON
         ]

@@ -43,6 +43,11 @@ class TestParseGal:
         with pytest.raises(GalParseError):
             parse_gal("0 2 demo id\nA 1\nB\n")
 
+    def test_record_beyond_declared_count(self):
+        with pytest.raises(GalParseError, match="record beyond the 2 declared areas") as err:
+            parse_gal("0 2 x id\n1 1\n2\n2 1\n1\n3 1\n1\n")
+        assert err.value.line == 6
+
     def test_non_numeric_count(self):
         with pytest.raises(GalParseError):
             parse_gal("0 x demo id\n")
