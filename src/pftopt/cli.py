@@ -165,8 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transport", help="supply/demand shipment optimization")
     p.add_argument("--cost", required=True, help="linear from,to,cost CSV")
     p.add_argument("--demand", required=True, help="comma-separated per-store demand")
-    p.add_argument("--capacity", help="comma-separated per-supplier capacity")
-    p.add_argument(
+    supply = p.add_mutually_exclusive_group(required=True)
+    supply.add_argument("--capacity", help="comma-separated per-supplier capacity")
+    supply.add_argument(
         "--design-capacity",
         action="store_true",
         help="cap each supplier at total demand instead of fixed capacity",
@@ -197,9 +198,7 @@ def _build_model(args) -> MipProblem | None:
         return pft_mod.compile_pft(pft_mod.parse_pft(_read(args.pft)))
     if cmd == "shortest-path":
         net = spatial.parse_network(_read(args.net))
-        return models.build_shortest_path(
-            net, spatial.node_id(args.source), spatial.node_id(args.sink)
-        )
+        return models.build_shortest_path(net, args.source.strip(), args.sink.strip())
     if cmd == "tour":
         d = spatial.parse_distance_matrix(
             _read(args.dist), args.from_col, args.to_col, args.dist_col
@@ -217,7 +216,7 @@ def _build_model(args) -> MipProblem | None:
         return models.build_set_cover(adj, cost)
     if cmd == "flow-capture":
         net = spatial.parse_network(_read(args.net))
-        s, t = spatial.node_id(args.source), spatial.node_id(args.sink)
+        s, t = args.source.strip(), args.sink.strip()
         flows = _float_list(args.flows, "--flows") if args.flows else None
         ps = models.enumerate_st_paths(net, s, t, flows=flows)
         candidates = [n for n in net.node_ids if n not in (s, t)]
@@ -230,15 +229,13 @@ def _build_model(args) -> MipProblem | None:
         demand = _float_list(args.demand, "--demand")
         if args.design_capacity:
             capacity = [sum(demand)] * len(cost.from_ids)
-        elif args.capacity:
-            capacity = _float_list(args.capacity, "--capacity")
         else:
-            raise models.InputError("--capacity required unless --design-capacity")
+            capacity = _float_list(args.capacity, "--capacity")
         return models.build_transportation(cost, demand, capacity)
     if cmd == "maxflow":
         net = spatial.parse_network(_read(args.net))
         return models.build_max_flow(
-            net, spatial.node_id(args.source), spatial.node_id(args.sink), sink_cap=args.sink_cap
+            net, args.source.strip(), args.sink.strip(), sink_cap=args.sink_cap
         )
     if cmd == "facility":
         cost = spatial.parse_distance_matrix(_read(args.cost))

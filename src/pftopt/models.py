@@ -291,17 +291,15 @@ def build_set_cover(adj: AdjacencySet, cost) -> MipProblem:
 
 
 def enumerate_st_paths(net: Network, s, t, flows=None) -> PathSet:
-    """All simple directed s->t paths by depth-first search, neighbors visited
-    in ascending node-id order. Default per-path flow is the minimum arc
-    weight along the path; `flows` overrides the whole vector."""
+    """All simple directed s->t paths by depth-first search, each node's
+    out-arcs visited in arc-list order. Default per-path flow is the minimum
+    arc weight along the path; `flows` overrides the whole vector."""
     _check_endpoints(net, s, t)
     out_arcs: dict = {node: [] for node in net.node_ids}
     weight = {}
     for tail, head, w, _ in net.arcs:
         out_arcs[tail].append(head)
         weight[(tail, head)] = w
-    for heads in out_arcs.values():
-        heads.sort()
     paths: list[tuple] = []
     stack = [s]
     on_path = {s}
@@ -520,6 +518,7 @@ def build_facility_location(unit_cost: DistanceMatrix, fixed_cost, demand, capac
         raise InputError("one demand per store required")
     _check_amounts(demand, unit_cost.to_ids, "demand of store")
     _check_amounts(capacity, unit_cost.from_ids, "capacity of facility")
+    _check_amounts(fixed_cost, unit_cost.from_ids, "fixed cost of facility")
     if sum(capacity) < sum(demand):
         raise InputError("total capacity below total demand")
     n_y = n_fac * m_store  # Y_ij at i * m_store + j, then X_i

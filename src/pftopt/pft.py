@@ -9,9 +9,10 @@ PFT v1 CSV layout::
     @sense,,<le|eq|ge>,...,<le|eq|ge>,
     @rhs,,<b-1>,...,<b-K>,
 
-Blank coefficient, objective and rhs cells mean zero; a blank lb cell means 0
-and a blank ub cell means inf. Binary variables may not carry explicit bound
-cells; `MipProblem` clamps them into [0, 1] when the table is compiled.
+The @sense and @rhs lines may each appear only once. Blank coefficient,
+objective and rhs cells mean zero; a blank lb cell means 0 and a blank ub cell
+means inf. Binary variables may not carry explicit bound cells; `MipProblem`
+clamps them into [0, 1] when the table is compiled.
 Coefficient, objective and rhs cells must be finite numbers; bound cells may
 be -inf/inf but not NaN. The parser checks each cell once and reports the
 first bad one by line and column.
@@ -164,6 +165,8 @@ def parse_pft(text: str) -> Pft:
             continue
         tag = row[0].strip()
         if tag == "@sense":
+            if senses is not None:
+                raise PftParseError("repeated @sense line", line_no)
             if len(row) < 2 + k:
                 raise PftParseError("ragged @sense line", line_no)
             senses = [cell.strip() for cell in row[2 : 2 + k]]
@@ -172,6 +175,8 @@ def parse_pft(text: str) -> Pft:
                     raise PftParseError(f"unknown sense token {sense!r}", line_no, 3 + j)
             continue
         if tag == "@rhs":
+            if rhs is not None:
+                raise PftParseError("repeated @rhs line", line_no)
             if len(row) < 2 + k:
                 raise PftParseError("ragged @rhs line", line_no)
             rhs = [_parse_cell(cell, line_no, 3 + j) for j, cell in enumerate(row[2 : 2 + k])]

@@ -26,7 +26,6 @@ __all__ = [
     "weights_to_pairs",
     "parse_distance_matrix",
     "parse_network",
-    "node_id",
     "geodesic_miles",
     "write_assignment_csv",
 ]
@@ -108,10 +107,6 @@ def parse_gal(text: str) -> SpatialWeights:
         idx += 1
         if n_nb == 0:
             nb_tokens = []
-            # Zero-neighbor entries may or may not carry an empty line; accept
-            # an empty following line, otherwise consume nothing.
-            if idx < len(lines) and not lines[idx].split():
-                idx += 1
         else:
             if idx >= len(lines):
                 raise GalParseError(f"area {area!r}: missing neighbor line", line_no + 1)
@@ -219,25 +214,16 @@ def parse_distance_matrix(
     return DistanceMatrix(from_ids=from_ids, to_ids=to_ids, d=d)
 
 
-def node_id(token: str):
-    """A network node id as written: an int where the token is one, else the
-    stripped text."""
-    token = token.strip()
-    try:
-        return int(token)
-    except ValueError:
-        return token
-
-
 def parse_network(text: str) -> Network:
     """Network from a CSV with header tail,head,weight[,capacity]; a blank or
-    inf capacity means uncapacitated, and nodes keep first-appearance order."""
+    inf capacity means uncapacitated. Node ids are the stripped cell text, so
+    `01` and `1` are two nodes, and nodes keep first-appearance order."""
     nodes: dict = {}  # insertion-ordered set
     arcs = []
     for line_no, row in _csv_rows(text):
         if len(row) < 3:
             raise DistanceCsvError(f"line {line_no}: rows need tail,head,weight[,capacity]")
-        tail, head = node_id(row[0]), node_id(row[1])
+        tail, head = row[0].strip(), row[1].strip()
         weight = _measure(row[2], "weight", line_no)
         cap = row[3] if len(row) > 3 else ""
         capacity = _measure(cap, "capacity", line_no, inf_ok=True) if cap.strip() else math.inf

@@ -176,6 +176,18 @@ class TestSolve:
         assert code == PARSE_ERROR
         assert where in err
 
+    @pytest.mark.parametrize("command", ["solve", "audit"])
+    @pytest.mark.parametrize("tag", ["@sense,,ge,", "@rhs,,9,"], ids=["sense", "rhs"])
+    def test_repeated_tag_line_exits_65(self, tmp_path, command, tag):
+        path = tmp_path / "twice.pft.csv"
+        path.write_text(
+            f"#PFT v1 dir=max title=t\nvar,kind,cap,obj\nx,C,1,1\n@sense,,le,\n@rhs,,4,\n{tag}\n"
+        )
+        code, out, err = _run([command, "--pft", str(path)])
+        assert code == PARSE_ERROR
+        repeated = tag.split(",")[0]
+        assert out == "" and err == f"parse error: repeated {repeated} line (line 6)\n"
+
     @pytest.mark.parametrize("bounds", ["inf,", ",-inf"], ids=["lb-inf", "ub-minus-inf"])
     def test_bound_admitting_no_value_exits_64(self, tmp_path, bounds):
         path = tmp_path / "empty.pft.csv"
@@ -286,6 +298,24 @@ class TestNetworkCommands:
         assert code == 0
         assert "objective: 4" in out
         assert "X2" in out
+
+    def test_flow_capture_mixed_int_and_text_ids(self, tmp_path):
+        net = tmp_path / "net.csv"
+        net.write_text("tail,head,weight,capacity\n1,hub,3,\nhub,2,4,\n1,2,9,\n")
+        code, out, err = _run(
+            ["flow-capture", "--net", str(net), "--source", "1", "--sink", "2",
+             "--placements", "1", "--deterministic"]
+        )
+        assert (code, err) == (0, "")
+        assert "objective: 3\n" in out
+        assert "  Xhub = 1\n" in out and "  Y1 = 1\n" in out
+
+    def test_zero_padded_ids_are_distinct_nodes(self, tmp_path):
+        net = tmp_path / "net.csv"
+        net.write_text("tail,head,weight\n01,2,5\n1,2,7\n")
+        code, out, err = _run(["shortest-path", "--net", str(net), "--source", "1", "--sink", "2"])
+        assert (code, err) == (0, "")
+        assert "objective: 7\n" in out
 
 
     @pytest.mark.parametrize(
@@ -409,6 +439,18 @@ class TestTableCommands:
         )
         assert code == USAGE_ERROR
 
+    def test_transport_takes_one_capacity_flag(self, tmp_path, capsys):
+        """With both flags the capacities would be dropped: 1,1 cannot meet
+        demand 5,5, yet the design capacity solves."""
+        cost = tmp_path / "cost.csv"
+        cost.write_text("from,to,cost\nA,1,2\nA,2,3\nB,1,4\nB,2,5\n")
+        code, out, _ = _run(
+            ["transport", "--cost", str(cost), "--demand", "5,5",
+             "--capacity", "1,1", "--design-capacity"]
+        )
+        assert (code, out) == (USAGE_ERROR, "")
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_facility(self, tmp_path):
         cost = tmp_path / "unit.csv"
         rows = ["facility,store,cost"]
@@ -498,6 +540,9 @@ class TestArgumentErrors:
               "--fixed", "1,1"], "capacity of facility 1 must be finite and non-negative, got -5"),
             (["facility", "--cost", "{two}", "--demand", "3,3", "--capacity", "9,9",
               "--fixed", "20,x"], "--fixed: 'x' is not a number"),
+            (["facility", "--cost", "{two}", "--demand", "3,3", "--capacity", "9,9",
+              "--fixed", "nan,1"],
+             "fixed cost of facility 1 must be finite and non-negative, got nan"),
             (["transport", "--cost", "{two}", "--demand", "3,y", "--design-capacity"],
              "--demand: 'y' is not a number"),
             (["tour", "--dist", "{tour}", "--force-arc", "1"], "--force-arc expects I,J, got '1'"),
@@ -512,7 +557,7 @@ class TestArgumentErrors:
               "--placements", "2"], "source or sink not in network"),
         ],
         ids=["open-negative", "max-colors-zero", "sink-cap-negative", "demand-negative",
-             "capacity-negative", "facility-capacity-negative", "fixed-not-a-number",
+             "capacity-negative", "facility-capacity-negative", "fixed-not-a-number", "fixed-nan",
              "demand-not-a-number", "force-arc-one-end", "force-arc-three-ends",
              "force-arc-blank-end", "cover-cost-nan", "cover-cost-inf",
              "flow-capture-source-outside"],

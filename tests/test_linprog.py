@@ -15,6 +15,7 @@ from pftopt.linprog import (
     solve_lp,
     split_senses,
 )
+from pftopt.models import DistanceMatrix, build_service_coverage
 
 
 def _lp(objective, rows=(), bounds=None, direction="min"):
@@ -343,6 +344,24 @@ class TestProperties:
         out = solve_lp(_covering_lp(seed))
         assert out.status is Status.OPTIMAL
         assert len(calls) == out.iterations // 50 == factorisations
+
+    def test_a_singular_refactorisation_is_numerical(self, monkeypatch):
+        """The p-median root LP (8 points, p = 3) takes 70 pivots, so the
+        refactorisation after pivot 50 runs; a singular basis there stops the
+        solve as NUMERICAL with no point."""
+        rng = random.Random(0)
+        d = np.zeros((8, 8))
+        for i, j in zip(*np.triu_indices(8, 1)):
+            d[i, j] = d[j, i] = rng.randint(1, 99)
+        ids = tuple(range(1, 9))
+        mip = build_service_coverage(DistanceMatrix(from_ids=ids, to_ids=ids, d=d), 3)
+
+        def singular(M):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        out = solve_lp(mip.base)
+        assert (out.status, out.iterations, out.x) == (Status.NUMERICAL, 50, None)
 
     def test_random_feasible_lps_satisfy_constraints(self):
         rng = random.Random(20240817)

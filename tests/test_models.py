@@ -392,10 +392,25 @@ class TestPathEnumeration:
         assert models.enumerate_st_paths(net, 1, 3).paths == ()
 
     def test_deterministic_ascending_order(self):
+        # ROAD lists each tail's arcs in ascending head order, as the road fixture does.
         weights = {k: 1.0 for k in ROAD}
         net = network(weights)
         ps = models.enumerate_st_paths(net, 1, 7)
         assert ps.paths == tuple(sorted(ps.paths))
+
+    def test_out_arcs_are_visited_in_arc_list_order(self):
+        net = Network(
+            node_ids=("s", "b", "a", "t"),
+            arcs=(
+                ("s", "b", 1.0, math.inf),
+                ("b", "t", 1.0, math.inf),
+                ("a", "t", 1.0, math.inf),
+                ("s", "t", 1.0, math.inf),
+                ("s", "a", 1.0, math.inf),
+            ),
+        )
+        ps = models.enumerate_st_paths(net, "s", "t")
+        assert ps.paths == (("s", "b", "t"), ("s", "t"), ("s", "a", "t"))
 
     def test_flow_override_length_checked(self):
         net = Network(node_ids=("s", "t"), arcs=(("s", "t", 3.0, math.inf),))
@@ -728,17 +743,21 @@ class TestFacilityLocation:
             models.build_facility_location(cost, [1.0], [5.0], [2.0])
 
     @pytest.mark.parametrize(
-        "demand, capacity, message",
+        "fixed, demand, capacity, message",
         [
-            ([4, 6], [-5, 20], "capacity of facility 1 .* got -5"),
-            ([4, 6], [10, math.nan], "capacity of facility 2 .* got nan"),
-            ([4, -6], [10, 20], "demand of store 2 .* got -6"),
-            ([math.inf, 6], [10, 20], "demand of store 1 .* got inf"),
+            ([1, 1], [4, 6], [-5, 20], "capacity of facility 1 .* got -5"),
+            ([1, 1], [4, 6], [10, math.nan], "capacity of facility 2 .* got nan"),
+            ([1, 1], [4, -6], [10, 20], "demand of store 2 .* got -6"),
+            ([1, 1], [math.inf, 6], [10, 20], "demand of store 1 .* got inf"),
+            ([math.nan, 1], [4, 6], [10, 20], "fixed cost of facility 1 .* got nan"),
+            ([1, -100], [4, 6], [10, 20], "fixed cost of facility 2 .* got -100"),
         ],
-        ids=["negative-capacity", "nan-capacity", "negative-demand", "infinite-demand"],
+        ids=["negative-capacity", "nan-capacity", "negative-demand", "infinite-demand",
+             "nan-fixed-cost", "negative-fixed-cost"],
     )
-    def test_negative_or_non_finite_amount_rejected(self, demand, capacity, message):
-        # With capacities [-5, 20] the model used to solve OPTIMAL with facility 1 closed.
+    def test_negative_or_non_finite_amount_rejected(self, fixed, demand, capacity, message):
+        # With capacities [-5, 20] the model used to solve OPTIMAL with facility 1
+        # closed, and with fixed costs [1, -100] OPTIMAL at objective -90.
         cost = DistanceMatrix(from_ids=(1, 2), to_ids=(1, 2), d=((2.0, 3.0), (1.0, 1.0)))
         with pytest.raises(InputError, match=message):
-            models.build_facility_location(cost, [1.0, 1.0], demand, capacity)
+            models.build_facility_location(cost, fixed, demand, capacity)

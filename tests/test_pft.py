@@ -74,6 +74,15 @@ class TestParse:
         with pytest.raises(PftParseError):
             parse_pft(SIMPLE.replace("x2,C,1,2", "x1,C,1,2"))
 
+    @pytest.mark.parametrize("line", ["@sense,,ge,", "@rhs,,9,"], ids=["sense", "rhs"])
+    def test_repeated_tag_line_is_an_error(self, line):
+        """A second line would silently replace the first (max x solved to 9,
+        or Unbounded)."""
+        text = f"#PFT v1 dir=max title=t\nvar,kind,cap,obj\nx,C,1,1\n@sense,,le,\n@rhs,,4,\n{line}"
+        tag = line.split(",")[0]
+        with pytest.raises(PftParseError, match=f"^repeated {tag} line \\(line 6\\)$"):
+            parse_pft(text)
+
     @pytest.mark.parametrize(
         "row, column",
         [("x1,C,1,3,,abc", 6), ("x1,C,1,3,abc,", 5), ("x1,C,1,3,nan,", 5), ("x1,C,1,3,,nan", 6)],

@@ -15,7 +15,6 @@ from pftopt.spatial import (
     GalParseError,
     GeoPoint,
     geodesic_miles,
-    node_id,
     parse_distance_matrix,
     parse_gal,
     parse_network,
@@ -160,15 +159,22 @@ class TestDistanceMatrix:
 class TestParseNetwork:
     def test_road_fixture(self, fixtures):
         net = parse_network((fixtures / "intercity_road.net.csv").read_text())
-        assert net.node_ids == (1, 2, 3, 4, 5, 6, 7)
-        assert net.arcs[0] == (1, 2, 688.0, math.inf)
+        assert net.node_ids == ("1", "2", "3", "4", "5", "6", "7")
+        assert net.arcs[0] == ("1", "2", 688.0, math.inf)
         assert len(net.arcs) == 12
 
     def test_ids_capacities_and_blank_rows(self):
         text = "tail,head,weight,capacity\nb, 7 ,2,inf\n\n7,a,0,3\na,b,1\n"
         net = parse_network(text)
-        assert net.node_ids == ("b", 7, "a")
-        assert net.arcs == (("b", 7, 2.0, math.inf), (7, "a", 0.0, 3.0), ("a", "b", 1.0, math.inf))
+        assert net.node_ids == ("b", "7", "a")
+        assert net.arcs == (
+            ("b", "7", 2.0, math.inf), ("7", "a", 0.0, 3.0), ("a", "b", 1.0, math.inf)
+        )
+
+    def test_ids_are_the_text_as_written(self):
+        """No id is read as a number, so none merge and none compare."""
+        text = "tail,head,weight\n01,z,1\n1,z,1\n+1,z,1\n1_0,z,1\n10,z,1\n"
+        assert parse_network(text).node_ids == ("01", "z", "1", "+1", "1_0", "10")
 
     @pytest.mark.parametrize(
         "row, message",
@@ -186,10 +192,6 @@ class TestParseNetwork:
     def test_bad_row_names_its_line(self, row, message):
         with pytest.raises(DistanceCsvError, match=f"^{re.escape(message)}$"):
             parse_network(f"tail,head,weight,capacity\n2,3,1,\n{row}\n")
-
-    def test_node_id(self):
-        assert node_id(" 12 ") == 12
-        assert node_id(" A1 ") == "A1"
 
 
 class TestGeodesic:
