@@ -9,6 +9,8 @@ default, JSON behind --json). Exit codes: 0 optimal/feasible, 2 infeasible,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 import time
@@ -96,6 +98,7 @@ def _float_list(text: str, option: str) -> list[float]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pftopt", description="Formulation-table MILP toolkit"
@@ -302,9 +305,10 @@ def _run_color(args, stdout) -> int:
 def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors and --help itself; send them to our streams.
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -216,8 +216,10 @@ def _tour_arc_names(n: int) -> list[tuple]:
 
 def build_tour(d: DistanceMatrix) -> MipProblem:
     """Minimum-cost closed tour with single-entry/single-exit degree rows and
-    MTZ ordering variables u_i (u_1 pinned to 1) to forbid subtours. The
-    matrix may list its columns in any order over the same ids as its rows."""
+    MTZ ordering variables u_i (u_1 pinned to 1) to forbid subtours, in the
+    lifted form of Desrochers and Laporte (1991, Oper. Res. Lett. 10), whose
+    LP bound is tighter than the plain MTZ rows'. The matrix may list its
+    columns in any order over the same ids as its rows."""
     ids = d.from_ids
     n = len(ids)
     col = {t: j for j, t in enumerate(d.to_ids)}
@@ -236,13 +238,17 @@ def build_tour(d: DistanceMatrix) -> MipProblem:
     A_eq = np.zeros((2 * n, n_total))
     A_eq[heads, arcs] = 1.0  # entry: exactly one arc into j
     A_eq[n + tails, arcs] = 1.0  # exit: exactly one arc out of i
-    # MTZ: u_i - u_j + N*X_ij <= N - 1 for arcs between cities 2..N, in arc order.
+    # Lifted MTZ: u_i - u_j + (N-1)*X_ij + (N-3)*X_ji <= N - 2 for arcs between
+    # cities 2..N, in arc order. On a tour arc it forces u_j = u_i + 1, and it
+    # cuts off every 2-cycle.
     inner = arcs[(tails > 0) & (heads > 0)]
+    reverse = heads * (n - 1) + tails - (tails > heads)  # index of arc j->i
     mtz = np.arange(inner.size)
     A_ub = np.zeros((inner.size, n_total))
     A_ub[mtz, n_arcs + tails[inner]] = 1.0
     A_ub[mtz, n_arcs + heads[inner]] = -1.0
-    A_ub[mtz, inner] = float(n)
+    A_ub[mtz, inner] = float(n - 1)
+    A_ub[mtz, reverse[inner]] = float(n - 3)
 
     c = np.zeros(n_total)
     c[:n_arcs] = dist[tails, heads]
@@ -250,7 +256,7 @@ def build_tour(d: DistanceMatrix) -> MipProblem:
     hi = np.full(n_total, math.inf)
     lo[n_arcs], hi[n_arcs] = 1.0, 1.0
     lo[n_arcs + 1 :], hi[n_arcs + 1 :] = 2.0, float(n)
-    base = LinearProgram(c, A_eq, np.ones(2 * n), A_ub, np.full(inner.size, float(n - 1)), lo, hi)
+    base = LinearProgram(c, A_eq, np.ones(2 * n), A_ub, np.full(inner.size, float(n - 2)), lo, hi)
     names = [f"X{ids[i - 1]}{ids[j - 1]}" for i, j in arc_pairs]
     names += [f"U{node}" for node in ids]
     return MipProblem(

@@ -6,6 +6,7 @@ backtracking, with no use of the solver, so a test can compare the two.
 
 import itertools
 import math
+import random
 
 from pftopt.models import Network
 
@@ -94,6 +95,19 @@ def tour_oracle(d, required_arc=None):
             continue
         best = min(best, sum(d[a][b] for a, b in arcs))
     return best
+
+
+def criterion_8_tours():
+    """The ten symmetric tours of acceptance criterion 8 (4 to 8 cities,
+    distances 1..99), each with the 0-based arc its forced variant pins."""
+    rng = random.Random(20260826)
+    for _ in range(10):
+        n = rng.randint(4, 8)
+        d = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = float(rng.randint(1, 99))
+        yield d, tuple(rng.sample(range(n), 2))
 
 
 def service_oracle(d, p):

@@ -16,6 +16,7 @@ from model_oracles import (
     capture_oracle,
     chromatic_oracle,
     cover_oracle,
+    criterion_8_tours,
     network,
     selected,
     service_oracle,
@@ -273,14 +274,9 @@ def test_criterion_7_facility_location():
 
 
 def test_criterion_8_tour():
-    rng = random.Random(20260826)
     checks = []
-    for trial in range(10):
-        n = rng.randint(4, 8)
-        d = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                d[i][j] = d[j][i] = float(rng.randint(1, 99))
+    for trial, (d, (i0, j0)) in enumerate(criterion_8_tours()):
+        n = len(d)
         ids = tuple(range(1, n + 1))
         dm = DistanceMatrix(from_ids=ids, to_ids=ids, d=d)
         mip = models.build_tour(dm)
@@ -293,7 +289,6 @@ def test_criterion_8_tour():
         )
         checks.append((f"instance {trial} u-values are 1..{n}",
                        u == list(range(1, n + 1))))
-        i0, j0 = rng.sample(range(n), 2)
         forced_out = solve_mip(models.force_arc(mip, i0 + 1, j0 + 1))
         forced_oracle = tour_oracle(d, (i0, j0))
         checks.append((f"instance {trial} forced arc matches restricted enumeration",

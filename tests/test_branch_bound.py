@@ -361,7 +361,7 @@ class TestNodeAccounting:
         assert out.iterations == sum(outcome.iterations for _, outcome in calls) > 0
 
     def test_node_lps_share_the_root_arrays(self, monkeypatch):
-        rng = random.Random(7)
+        rng = random.Random(2)  # a 5-city tour that branches (11 nodes)
         n = 5
         d = [[0.0] * n for _ in range(n)]
         for i in range(n):

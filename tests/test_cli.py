@@ -204,6 +204,19 @@ class TestSolve:
         code, _, _ = _run(["frobnicate"])
         assert code == USAGE_ERROR
 
+    def test_missing_required_option_writes_usage_to_stderr(self, capsys):
+        code, out, err = _run(["tour"])
+        assert (code, out) == (USAGE_ERROR, "")
+        assert err.startswith("usage: pftopt tour")
+        assert "the following arguments are required: --dist" in err
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_writes_to_stdout(self, capsys):
+        code, out, err = _run(["tour", "--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: pftopt tour") and "--force-arc I,J" in out
+        assert capsys.readouterr() == ("", "")
+
 
 class TestAudit:
     def test_clean_fixture(self, fixtures):
@@ -444,12 +457,13 @@ class TestTableCommands:
         demand 5,5, yet the design capacity solves."""
         cost = tmp_path / "cost.csv"
         cost.write_text("from,to,cost\nA,1,2\nA,2,3\nB,1,4\nB,2,5\n")
-        code, out, _ = _run(
+        code, out, err = _run(
             ["transport", "--cost", str(cost), "--demand", "5,5",
              "--capacity", "1,1", "--design-capacity"]
         )
         assert (code, out) == (USAGE_ERROR, "")
-        assert "not allowed with argument" in capsys.readouterr().err
+        assert "not allowed with argument" in err
+        assert capsys.readouterr().err == ""
 
     def test_facility(self, tmp_path):
         cost = tmp_path / "unit.csv"
@@ -492,7 +506,8 @@ class TestTableCommands:
         assert code == PARSE_ERROR
         assert out == "" and f"line 3: distance '{cell}' must be finite" in err
 
-    def test_tour_with_force_arc(self, tmp_path):
+    @pytest.fixture
+    def square(self, tmp_path):
         dist = tmp_path / "square.csv"
         rows = ["from,to,dist"]
         d = {
@@ -502,12 +517,23 @@ class TestTableCommands:
         }
         rows.extend(f"{a},{b},{v}" for (a, b), v in sorted(d.items()))
         dist.write_text("\n".join(rows) + "\n")
-        code, out, _ = _run(["tour", "--dist", str(dist)])
+        return str(dist)
+
+    def test_tour_with_force_arc(self, square):
+        code, out, _ = _run(["tour", "--dist", square])
         assert code == 0
         assert "objective: 10" in out  # 1-2-3-4-1 = 1+2+3+4
-        code, out, _ = _run(["tour", "--dist", str(dist), "--force-arc", "1,3"])
+        code, out, _ = _run(["tour", "--dist", square, "--force-arc", "1,3"])
         assert code == 0
         assert "objective: 10" not in out
+
+    def test_forced_arc_does_not_leak_into_the_next_run(self, square):
+        """The parser is built once per process; a repeated option's list must
+        start empty on every call."""
+        code, out, _ = _run(["tour", "--dist", square, "--force-arc", "1,3"])
+        assert code == 0 and "objective: 10" not in out
+        code, out, _ = _run(["tour", "--dist", square])
+        assert code == 0 and "objective: 10" in out
 
 
 class TestArgumentErrors:

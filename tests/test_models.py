@@ -12,6 +12,7 @@ from model_oracles import (
     capture_oracle,
     chromatic_oracle,
     cover_oracle,
+    criterion_8_tours,
     network,
     selected,
     service_oracle,
@@ -20,7 +21,7 @@ from model_oracles import (
 
 from pftopt import models
 from pftopt.branch_bound import solve_mip
-from pftopt.linprog import Status, solve_lp
+from pftopt.linprog import LinearProgram, Status, solve_lp
 from pftopt.models import (
     AdjacencySet,
     DistanceMatrix,
@@ -218,6 +219,10 @@ def _random_symmetric(rng, n):
     return d
 
 
+def _random_asymmetric(rng, n):
+    return [[0.0 if i == j else float(rng.randint(1, 50)) for j in range(n)] for i in range(n)]
+
+
 class TestTour:
     def test_triangle(self):
         d = ((0, 1, 4), (1, 0, 2), (4, 2, 0))
@@ -227,10 +232,15 @@ class TestTour:
         assert out.objective_value == pytest.approx(7.0)
 
     def test_random_instances_match_enumeration(self):
+        """Four symmetric tours (4 to 6 cities) and forty asymmetric ones (3 to 7)."""
         rng = random.Random(987)
-        for trial in range(4):
-            n = rng.randint(4, 6)
-            d = _random_symmetric(rng, n)
+        for trial in range(44):
+            if trial < 4:
+                n = rng.randint(4, 6)
+                d = _random_symmetric(rng, n)
+            else:
+                n = 3 + trial % 5
+                d = _random_asymmetric(rng, n)
             ids = tuple(range(1, n + 1))
             dm = DistanceMatrix(from_ids=ids, to_ids=ids, d=d)
             mip = models.build_tour(dm)
@@ -241,6 +251,30 @@ class TestTour:
                 round(v) for name, v in zip(mip.names, out.x) if name.startswith("U")
             )
             assert u == list(range(1, n + 1))
+
+    def test_lifted_rows_tighten_the_root_bound(self):
+        """The lifted MTZ rows against the plain ones (coefficient N on X_ij,
+        none on X_ji, rhs N - 1) on the criterion-8 tours: the root LP bound
+        never drops, and rises on at least one."""
+        rises = 0
+        for d, _ in criterion_8_tours():
+            n = len(d)
+            ids = tuple(range(1, n + 1))
+            mip = models.build_tour(DistanceMatrix(ids, ids, d))
+            base, u = mip.base, slice(n * (n - 1), None)  # arcs, then u_1..u_N
+            plain = np.zeros_like(base.A_ub)
+            plain[:, u] = base.A_ub[:, u]
+            for row, coef in zip(plain, base.A_ub[:, u]):
+                i, j = np.argmax(coef) + 1, np.argmin(coef) + 1  # u_i - u_j
+                row[mip.names.index(f"X{i}{j}")] = float(n)
+            plain_lp = LinearProgram(
+                base.c, base.A_eq, base.b_eq, plain, np.full(len(plain), n - 1.0), base.lo, base.hi
+            )
+            lifted, old = solve_lp(base), solve_lp(plain_lp)
+            assert lifted.status is old.status is Status.OPTIMAL
+            assert lifted.objective_value >= old.objective_value - 1e-9
+            rises += lifted.objective_value > old.objective_value + 1e-6
+        assert rises >= 1
 
     def test_force_redundant_arc_keeps_objective(self):
         rng = random.Random(55)
