@@ -3,7 +3,8 @@
 Subcommands read PFT/network/spatial files (parsed and checked by `pft` and
 `spatial`), build the matching model, solve it, and print a report (text by
 default, JSON behind --json). Exit codes: 0 optimal/feasible, 2 infeasible,
-3 unbounded, 64 usage error, 65 parse error, 1 anything else.
+3 unbounded, 64 usage error or a file that cannot be read or written, 65 parse
+error, 1 anything else. Input warnings go to stderr as `warning:` lines.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import functools
 import json
 import sys
 import time
+import warnings
 
 from . import models, pft as pft_mod, spatial
 from .branch_bound import MipProblem, MipOutcome, solve_mip
-from .linprog import MalformedProblemError, Status
+from .linprog import Status
 
 USAGE_ERROR = 64
 PARSE_ERROR = 65
@@ -80,11 +82,8 @@ def _report(mip: MipProblem, outcome: MipOutcome, wall: float | None, as_json: b
 
 
 def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise FileNotFoundError(f"cannot read {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _float_list(text: str, option: str) -> list[float]:
@@ -121,17 +120,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pft", required=True)
     common(p)
 
+    def network(p: argparse.ArgumentParser) -> None:
+        for flag in ("--net", "--source", "--sink"):
+            p.add_argument(flag, required=True)
+
+    def matrix(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+        # Every matrix command reads its CSV into args.matrix.
+        p.add_argument(flag, required=True, dest="matrix", metavar=flag[2:].upper(), **kwargs)
+
     p = sub.add_parser("shortest-path", help="shortest s-t path over a network CSV")
-    p.add_argument("--net", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--sink", required=True)
+    network(p)
     common(p)
 
     p = sub.add_parser("tour", help="minimum-cost closed tour from a distance CSV")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--from-col", type=int, default=0)
-    p.add_argument("--to-col", type=int, default=1)
-    p.add_argument("--dist-col", type=int, default=2)
+    matrix(p, "--dist")
     p.add_argument(
         "--force-arc",
         action="append",
@@ -147,9 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("flow-capture", help="flow-capturing placement over a network CSV")
-    p.add_argument("--net", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--sink", required=True)
+    network(p)
     p.add_argument("--placements", type=int, required=True)
     p.add_argument("--flows", help="comma-separated per-path flow overrides")
     common(p)
@@ -161,12 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("service", help="p-server service coverage from a distance CSV")
-    p.add_argument("--dist", required=True)
+    matrix(p, "--dist")
     p.add_argument("--open", type=int, required=True, dest="open_count")
     common(p)
 
     p = sub.add_parser("transport", help="supply/demand shipment optimization")
-    p.add_argument("--cost", required=True, help="linear from,to,cost CSV")
+    matrix(p, "--cost", help="linear from,to,cost CSV")
     p.add_argument("--demand", required=True, help="comma-separated per-store demand")
     supply = p.add_mutually_exclusive_group(required=True)
     supply.add_argument("--capacity", help="comma-separated per-supplier capacity")
@@ -178,14 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("maxflow", help="maximum s-t flow over a capacitated network CSV")
-    p.add_argument("--net", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--sink", required=True)
+    network(p)
     p.add_argument("--sink-cap", type=float)
     common(p)
 
     p = sub.add_parser("facility", help="fixed-charge warehouse location")
-    p.add_argument("--cost", required=True, help="linear facility,store,unit-cost CSV")
+    matrix(p, "--cost", help="linear facility,store,unit-cost CSV")
     p.add_argument("--demand", required=True)
     p.add_argument("--capacity", required=True)
     p.add_argument("--fixed", required=True)
@@ -199,13 +197,23 @@ def _build_model(args) -> MipProblem | None:
     cmd = args.command
     if cmd == "solve":
         return pft_mod.compile_pft(pft_mod.parse_pft(_read(args.pft)))
-    if cmd == "shortest-path":
+    if cmd == "cover":
+        adj = spatial.weights_to_pairs(spatial.parse_gal(_read(args.gal)))
+        cost = _float_list(args.cost, "--cost") if args.cost else [1.0] * len(adj.area_ids)
+        return models.build_set_cover(adj, cost)
+    if hasattr(args, "net"):  # shortest-path, maxflow, flow-capture
         net = spatial.parse_network(_read(args.net))
-        return models.build_shortest_path(net, args.source.strip(), args.sink.strip())
+        s, t = args.source.strip(), args.sink.strip()
+        if cmd == "shortest-path":
+            return models.build_shortest_path(net, s, t)
+        if cmd == "maxflow":
+            return models.build_max_flow(net, s, t, sink_cap=args.sink_cap)
+        flows = _float_list(args.flows, "--flows") if args.flows else None
+        ps = models.enumerate_st_paths(net, s, t, flows=flows)
+        candidates = [n for n in net.node_ids if n not in (s, t)]
+        return models.build_flow_capture(ps, candidates, args.placements)
+    d = spatial.parse_distance_matrix(_read(args.matrix))
     if cmd == "tour":
-        d = spatial.parse_distance_matrix(
-            _read(args.dist), args.from_col, args.to_col, args.dist_col
-        )
         mip = models.build_tour(d)
         for spec in args.force_arc:
             ends = [tok.strip() for tok in spec.split(",")]
@@ -213,37 +221,18 @@ def _build_model(args) -> MipProblem | None:
                 raise models.InputError(f"--force-arc expects I,J, got {spec!r}")
             mip = models.force_arc(mip, *ends)
         return mip
-    if cmd == "cover":
-        adj = spatial.weights_to_pairs(spatial.parse_gal(_read(args.gal)))
-        cost = _float_list(args.cost, "--cost") if args.cost else [1.0] * len(adj.area_ids)
-        return models.build_set_cover(adj, cost)
-    if cmd == "flow-capture":
-        net = spatial.parse_network(_read(args.net))
-        s, t = args.source.strip(), args.sink.strip()
-        flows = _float_list(args.flows, "--flows") if args.flows else None
-        ps = models.enumerate_st_paths(net, s, t, flows=flows)
-        candidates = [n for n in net.node_ids if n not in (s, t)]
-        return models.build_flow_capture(ps, candidates, args.placements)
     if cmd == "service":
-        d = spatial.parse_distance_matrix(_read(args.dist))
         return models.build_service_coverage(d, args.open_count)
     if cmd == "transport":
-        cost = spatial.parse_distance_matrix(_read(args.cost))
         demand = _float_list(args.demand, "--demand")
         if args.design_capacity:
-            capacity = [sum(demand)] * len(cost.from_ids)
+            capacity = [sum(demand)] * len(d.from_ids)
         else:
             capacity = _float_list(args.capacity, "--capacity")
-        return models.build_transportation(cost, demand, capacity)
-    if cmd == "maxflow":
-        net = spatial.parse_network(_read(args.net))
-        return models.build_max_flow(
-            net, args.source.strip(), args.sink.strip(), sink_cap=args.sink_cap
-        )
+        return models.build_transportation(d, demand, capacity)
     if cmd == "facility":
-        cost = spatial.parse_distance_matrix(_read(args.cost))
         return models.build_facility_location(
-            cost,
+            d,
             _float_list(args.fixed, "--fixed"),
             _float_list(args.demand, "--demand"),
             _float_list(args.capacity, "--capacity"),
@@ -311,23 +300,28 @@ def run(argv, stdout=None, stderr=None) -> int:
             args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
-        if args.command == "audit":
-            return _run_audit(args, stdout)
-        if args.command == "color":
-            return _run_color(args, stdout)
-        started = time.perf_counter()
-        mip = _build_model(args)
-        outcome = solve_mip(mip)
-        wall = None if args.deterministic else time.perf_counter() - started
-        stdout.write(_report(mip, outcome, wall, args.json))
-        return _STATUS_EXIT.get(outcome.status, 1)
-    except (pft_mod.PftParseError, spatial.GalParseError, spatial.DistanceCsvError) as exc:
-        stderr.write(f"parse error: {exc}\n")
-        return PARSE_ERROR
-    except (models.InputError, MalformedProblemError, FileNotFoundError, ValueError) as exc:
-        stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
+    # Each warning of this call reaches `stderr` as it is raised, however often
+    # the process has shown it before.
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: stderr.write(f"warning: {message}\n")
+        try:
+            if args.command == "audit":
+                return _run_audit(args, stdout)
+            if args.command == "color":
+                return _run_color(args, stdout)
+            started = time.perf_counter()
+            mip = _build_model(args)
+            outcome = solve_mip(mip)
+            wall = None if args.deterministic else time.perf_counter() - started
+            stdout.write(_report(mip, outcome, wall, args.json))
+            return _STATUS_EXIT.get(outcome.status, 1)
+        except (pft_mod.PftParseError, spatial.GalParseError, spatial.DistanceCsvError) as exc:
+            stderr.write(f"parse error: {exc}\n")
+            return PARSE_ERROR
+        except (OSError, ValueError) as exc:  # InputError and MalformedProblemError too
+            stderr.write(f"error: {exc}\n")
+            return USAGE_ERROR
 
 
 def main() -> None:

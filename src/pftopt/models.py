@@ -173,6 +173,38 @@ def _check_amounts(values, ids, what: str) -> None:
             raise InputError(f"{what} {ident} must be finite and non-negative, got {value:g}")
 
 
+def _check_p(p: int, candidates: int) -> None:
+    if p < 0:
+        raise InputError(f"p must be >= 0, got {p}")
+    if p > candidates:
+        raise InputError("p exceeds the candidate count")
+
+
+def _edges(adj: AdjacencySet) -> np.ndarray:
+    """The boundary pairs as rows (a, b) of area indices, a < b, sorted."""
+    index = {a: i for i, a in enumerate(adj.area_ids)}
+    edges = sorted(sorted(index[a] for a in pair) for pair in adj.pairs)
+    return np.array(edges, dtype=int).reshape(-1, 2)
+
+
+def _shipments(cost: DistanceMatrix, demand, capacity, site: str):
+    """The block that transportation and facility location share, over
+    shipments at i * len(to_ids) + j from site i to store j: the checked
+    demand and capacity lists, the rows meeting each store's demand, the rows
+    summing each site's shipments, and the (site id, store id) pairs."""
+    m, n = cost.d.shape
+    demand = [float(v) for v in demand]
+    capacity = [float(u) for u in capacity]
+    if len(demand) != n:
+        raise InputError("one demand per store required")
+    _check_amounts(demand, cost.to_ids, "demand of store")
+    if len(capacity) != m:
+        raise InputError(f"one capacity per {site} required")
+    _check_amounts(capacity, cost.from_ids, f"capacity of {site}")
+    pairs = [(f, t) for f in cost.from_ids for t in cost.to_ids]
+    return demand, capacity, np.tile(np.eye(n), m), np.kron(np.eye(m), np.ones((1, n))), pairs
+
+
 def _incidence(net: Network) -> np.ndarray:
     """Node-arc incidence, one row per node in node_ids order: +1 where an
     arc enters the node, -1 where it leaves."""
@@ -210,10 +242,6 @@ def build_shortest_path(net: Network, s, t) -> MipProblem:
     )
 
 
-def _tour_arc_names(n: int) -> list[tuple]:
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-
-
 def build_tour(d: DistanceMatrix) -> MipProblem:
     """Minimum-cost closed tour with single-entry/single-exit degree rows and
     MTZ ordering variables u_i (u_1 pinned to 1) to forbid subtours, in the
@@ -228,12 +256,10 @@ def build_tour(d: DistanceMatrix) -> MipProblem:
     if n < 3:
         raise InputError("tour requires at least 3 nodes")
     dist = d.d[:, [col[t] for t in ids]]  # columns in row order
-    arc_pairs = _tour_arc_names(n)
-    n_arcs = len(arc_pairs)
+    tails, heads = np.nonzero(~np.eye(n, dtype=bool))  # arcs i->j, i != j, row-major
+    n_arcs = tails.size
     n_total = n_arcs + n  # arcs then u_1..u_N
     arcs = np.arange(n_arcs)
-    tails = np.array([i for i, _ in arc_pairs]) - 1
-    heads = np.array([j for _, j in arc_pairs]) - 1
 
     A_eq = np.zeros((2 * n, n_total))
     A_eq[heads, arcs] = 1.0  # entry: exactly one arc into j
@@ -257,7 +283,7 @@ def build_tour(d: DistanceMatrix) -> MipProblem:
     lo[n_arcs], hi[n_arcs] = 1.0, 1.0
     lo[n_arcs + 1 :], hi[n_arcs + 1 :] = 2.0, float(n)
     base = LinearProgram(c, A_eq, np.ones(2 * n), A_ub, np.full(inner.size, float(n - 2)), lo, hi)
-    names = [f"X{ids[i - 1]}{ids[j - 1]}" for i, j in arc_pairs]
+    names = [f"X{ids[i]}{ids[j]}" for i, j in zip(tails.tolist(), heads.tolist())]
     names += [f"U{node}" for node in ids]
     return MipProblem(
         base=base, kinds=[VarKind.BINARY] * n_arcs + [VarKind.INTEGER] * n, names=names
@@ -286,11 +312,9 @@ def build_set_cover(adj: AdjacencySet, cost) -> MipProblem:
     for area, c in zip(areas, cost):
         if not 0 < c < math.inf:
             raise InputError(f"cost of area {area} must be finite and positive, got {c:g}")
-    index = {a: i for i, a in enumerate(areas)}
+    i, j = _edges(adj).T
     covers = np.eye(n)  # row: the area's closed neighborhood
-    for pair in adj.pairs:
-        a, b = (index[area] for area in pair)
-        covers[a, b] = covers[b, a] = 1.0
+    covers[i, j] = covers[j, i] = 1.0
     # covers @ x >= 1, negated into <= form.
     base = LinearProgram(cost, A_ub=-covers, b_ub=np.full(n, -1.0))
     return MipProblem(base=base, kinds=[VarKind.BINARY] * n, names=[f"X{a}" for a in areas])
@@ -309,27 +333,23 @@ def enumerate_st_paths(net: Network, s, t, flows=None) -> PathSet:
     paths: list[tuple] = []
     stack = [s]
     on_path = {s}
-
-    def dfs(node) -> None:
-        if node == t:
-            paths.append(tuple(stack))
-            return
-        for head in out_arcs.get(node, ()):
-            if head in on_path:
-                continue
+    untried = [iter(out_arcs[s])]  # per stack node: the out-arcs not yet followed
+    done = object()  # ids may be any hashable, None included
+    while untried:
+        head = next(untried[-1], done)
+        if head is done:
+            untried.pop()
+            on_path.discard(stack.pop())
+        elif head == t:
+            paths.append((*stack, t))
+        elif head not in on_path:
             stack.append(head)
             on_path.add(head)
-            dfs(head)
-            stack.pop()
-            on_path.discard(head)
-
-    dfs(s)
+            untried.append(iter(out_arcs[head]))
     if flows is None:
         flows = [
             min(weight[(p[k], p[k + 1])] for k in range(len(p) - 1)) for p in paths
         ]
-    elif len(tuple(flows)) != len(paths):
-        raise InputError("override flows must match the path count")
     return PathSet(source=s, sink=t, paths=tuple(paths), flow=tuple(flows))
 
 
@@ -337,10 +357,7 @@ def build_flow_capture(ps: PathSet, candidates, p: int) -> MipProblem:
     """Place p facilities on candidate nodes to maximize the captured path
     flow; a path counts iff at least one placed node lies on it."""
     candidates = tuple(candidates)
-    if p < 0:
-        raise InputError(f"p must be >= 0, got {p}")
-    if p > len(candidates):
-        raise InputError("p exceeds the candidate count")
+    _check_p(p, len(candidates))
     if ps.source in candidates or ps.sink in candidates:
         raise InputError("source and sink nodes cannot be candidates")
     n_x = len(candidates)
@@ -374,11 +391,10 @@ def build_coloring(adj: AdjacencySet, colors: int) -> MipProblem:
     areas = adj.area_ids
     n_areas = len(areas)
     n = n_areas * colors
-    index = {a: i for i, a in enumerate(areas)}
-    edges = sorted(sorted(index[a] for a in pair) for pair in adj.pairs)
+    edges = _edges(adj)
+    rows = np.arange(len(edges))
     ends = np.zeros((len(edges), n_areas))  # row: the two areas of a boundary pair
-    for e, (a, b) in enumerate(edges):
-        ends[e, a] = ends[e, b] = 1.0
+    ends[rows, edges[:, 0]] = ends[rows, edges[:, 1]] = 1.0
     base = LinearProgram(
         np.ones(n),
         np.tile(np.eye(n_areas), colors),  # one color per area
@@ -425,10 +441,7 @@ def build_service_coverage(d: DistanceMatrix, p: int) -> MipProblem:
     demand row to exactly one open server, minimizing total distance."""
     n_demand = len(d.from_ids)
     m_cand = len(d.to_ids)
-    if p < 0:
-        raise InputError(f"p must be >= 0, got {p}")
-    if p > m_cand:
-        raise InputError("p exceeds the candidate count")
+    _check_p(p, m_cand)
     n_y = n_demand * m_cand  # Y_ij at j * n_demand + i (candidate-major blocks)
     n = n_y + m_cand
 
@@ -451,28 +464,10 @@ def build_transportation(cost: DistanceMatrix, demand, capacity) -> MipProblem:
     """Integer shipments X_ij meeting every store's demand exactly, with one
     capacity per supplier capping its row (a design capacity is the total
     demand for each supplier)."""
-    m_sup = len(cost.from_ids)
-    n_dem = len(cost.to_ids)
-    demand = [float(v) for v in demand]
-    capacity = [float(u) for u in capacity]
-    if len(demand) != n_dem:
-        raise InputError("one demand per store required")
-    _check_amounts(demand, cost.to_ids, "demand of store")
-    if len(capacity) != m_sup:
-        raise InputError("one capacity per supplier required")
-    _check_amounts(capacity, cost.from_ids, "capacity of supplier")
-    # X_ij at i * n_dem + j; demand rows meet each store, supply rows cap each supplier.
-    base = LinearProgram(
-        cost.d.ravel(),
-        np.tile(np.eye(n_dem), m_sup),
-        demand,
-        np.kron(np.eye(m_sup), np.ones((1, n_dem))),
-        capacity,
-    )
-    names = [
-        f"X{cost.from_ids[i]}{cost.to_ids[j]}" for i in range(m_sup) for j in range(n_dem)
-    ]
-    return MipProblem(base=base, kinds=[VarKind.INTEGER] * (m_sup * n_dem), names=names)
+    demand, capacity, meet, supply, pairs = _shipments(cost, demand, capacity, "supplier")
+    base = LinearProgram(cost.d.ravel(), meet, demand, supply, capacity)
+    names = [f"X{f}{t}" for f, t in pairs]
+    return MipProblem(base=base, kinds=[VarKind.INTEGER] * len(pairs), names=names)
 
 
 def build_max_flow(net: Network, s, t, sink_cap: float | None = None) -> MipProblem:
@@ -513,34 +508,20 @@ def build_facility_location(unit_cost: DistanceMatrix, fixed_cost, demand, capac
     them need not be unique; the solvers return one optimal basic solution
     and do not specify which one.
     """
+    demand, capacity, meet, supply, pairs = _shipments(unit_cost, demand, capacity, "facility")
     n_fac = len(unit_cost.from_ids)
-    m_store = len(unit_cost.to_ids)
     fixed_cost = [float(f) for f in fixed_cost]
-    demand = [float(v) for v in demand]
-    capacity = [float(u) for u in capacity]
-    if len(fixed_cost) != n_fac or len(capacity) != n_fac:
-        raise InputError("one fixed cost and capacity per facility required")
-    if len(demand) != m_store:
-        raise InputError("one demand per store required")
-    _check_amounts(demand, unit_cost.to_ids, "demand of store")
-    _check_amounts(capacity, unit_cost.from_ids, "capacity of facility")
+    if len(fixed_cost) != n_fac:
+        raise InputError("one fixed cost per facility required")
     _check_amounts(fixed_cost, unit_cost.from_ids, "fixed cost of facility")
     if sum(capacity) < sum(demand):
         raise InputError("total capacity below total demand")
-    n_y = n_fac * m_store  # Y_ij at i * m_store + j, then X_i
-    n = n_y + n_fac
-
-    A_eq = np.zeros((m_store, n))
-    A_eq[:, :n_y] = np.tile(np.eye(m_store), n_fac)  # each store's demand met
-    A_ub = np.zeros((n_fac, n))  # linking: sum_j Y_ij - u_i X_i <= 0
-    A_ub[:, :n_y] = np.kron(np.eye(n_fac), np.ones((1, m_store)))
-    A_ub[np.arange(n_fac), n_y + np.arange(n_fac)] = [-u for u in capacity]
+    n_y = len(pairs)  # Y_ij, then X_i
+    A_eq = np.hstack([meet, np.zeros((len(demand), n_fac))])  # each store's demand met
+    # linking: sum_j Y_ij - u_i X_i <= 0
+    A_ub = np.hstack([supply, np.diag([-u for u in capacity])])
     c = np.concatenate([unit_cost.d.ravel(), fixed_cost])
     base = LinearProgram(c, A_eq, demand, A_ub, np.zeros(n_fac))
-    names = [
-        f"Y{unit_cost.from_ids[i]}{unit_cost.to_ids[j]}"
-        for i in range(n_fac)
-        for j in range(m_store)
-    ] + [f"X{f}" for f in unit_cost.from_ids]
+    names = [f"Y{f}{t}" for f, t in pairs] + [f"X{f}" for f in unit_cost.from_ids]
     kinds = [VarKind.INTEGER] * n_y + [VarKind.BINARY] * n_fac
     return MipProblem(base=base, kinds=kinds, names=names)

@@ -1,8 +1,9 @@
 """Parsers and writers for the spatial artifacts the workflows exchange:
-GeoDA-style `.gal` contiguity weights, the two linear CSVs (from,to,distance
-matrices and tail,head,weight[,capacity] networks), great-circle distances,
-and two-column assignment CSVs. Every input file is read and checked here,
-once, into the checked form a builder takes."""
+GeoDA-style `.gal` contiguity weights, the two linear CSVs (from,to,value
+matrices and tail,head,weight[,capacity] networks, each read from its first
+columns in that order), great-circle distances, and two-column assignment
+CSVs. Every input file is read and checked here, once, into the checked form
+a builder takes."""
 
 from __future__ import annotations
 
@@ -183,18 +184,16 @@ def _measure(cell: str, what: str, line_no: int, inf_ok: bool = False) -> float:
     return value
 
 
-def parse_distance_matrix(
-    text: str, from_col: int = 0, to_col: int = 1, dist_col: int = 2
-) -> DistanceMatrix:
-    """Densify a linear (from,to,distance) CSV with a header row into a
-    DistanceMatrix; ids keep first-appearance order and every pair must
-    appear exactly once."""
+def parse_distance_matrix(text: str) -> DistanceMatrix:
+    """Densify a linear CSV with a header row, whose first three columns are
+    from, to and distance, into a DistanceMatrix; ids keep first-appearance
+    order and every pair must appear exactly once."""
     row_of: dict = {}  # from id -> row, in first-appearance order
     col_of: dict = {}  # to id -> column
     entries: dict = {}  # (row, column) -> distance
     for line_no, row in _csv_rows(text):
         try:
-            f, t, cell = row[from_col].strip(), row[to_col].strip(), row[dist_col]
+            f, t, cell = row[0].strip(), row[1].strip(), row[2]
         except IndexError:
             raise DistanceCsvError(f"line {line_no}: missing column") from None
         dist = _measure(cell, "distance", line_no)

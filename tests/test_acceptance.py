@@ -373,13 +373,13 @@ def test_criterion_11_parsers(fixtures):
     checks.append(("neighborhoods.gal yields 21 unordered pairs", len(pairs) == 21))
     duplicate = "from,to,dist\n1,2,3\n1,2,4\n2,1,3\n2,2,0\n1,1,0\n"
     try:
-        parse_distance_matrix(duplicate, 0, 1, 2)
+        parse_distance_matrix(duplicate)
         checks.append(("duplicate cells rejected", False))
     except DistanceCsvError:
         checks.append(("duplicate cells rejected", True))
     gappy = "from,to,dist\n1,1,0\n1,2,3\n2,2,0\n"
     try:
-        parse_distance_matrix(gappy, 0, 1, 2)
+        parse_distance_matrix(gappy)
         checks.append(("gaps rejected", False))
     except DistanceCsvError:
         checks.append(("gaps rejected", True))

@@ -200,6 +200,17 @@ class TestSolve:
         code, _, _ = _run(["solve", "--pft", "/nonexistent.pft.csv"])
         assert code == USAGE_ERROR
 
+    def test_missing_network_exits_64_naming_the_path(self, tmp_path):
+        missing = str(tmp_path / "absent.net.csv")
+        code, out, err = _run(["shortest-path", "--net", missing, "--source", "1", "--sink", "2"])
+        assert (code, out) == (USAGE_ERROR, "")
+        assert err.startswith("error: ") and missing in err
+
+    def test_column_flags_are_gone(self, tmp_path):
+        code, out, err = _run(["tour", "--dist", str(tmp_path / "d.csv"), "--from-col", "0"])
+        assert (code, out) == (USAGE_ERROR, "")
+        assert "unrecognized arguments: --from-col 0" in err
+
     def test_unknown_subcommand_exits_64(self):
         code, _, _ = _run(["frobnicate"])
         assert code == USAGE_ERROR
@@ -385,6 +396,29 @@ class TestSpatialCommands:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "id,Color"
         assert len(lines) == 4
+
+    def test_unwritable_out_exits_64(self, fixtures, tmp_path):
+        code, out, err = _run(
+            ["color", "--gal", str(fixtures / "demo.gal"), "--max-colors", "3",
+             "--out", str(tmp_path), "--deterministic"]
+        )
+        assert code == USAGE_ERROR
+        assert "colors: 2" in out
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_input_warnings_reach_stderr_on_every_call(self, tmp_path, capsys):
+        path = tmp_path / "loose.gal"
+        path.write_text("0 3 x id\n1 1\n2\n2 2\n1 4\n3 0\n")
+        argv = ["color", "--gal", str(path), "--max-colors", "2", "--deterministic"]
+        runs = [_run(argv) for _ in range(2)]
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 0 and out.startswith("status: Optimal\n")
+        assert err == (
+            "warning: neighbor ids not listed as areas: ['4']\n"
+            "warning: asymmetric neighbor mentions: [('2', '4')]\n"
+        )
+        assert capsys.readouterr() == ("", "")
 
     def test_cover(self, fixtures):
         code, out, _ = _run(["cover", "--gal", str(fixtures / "neighborhoods.gal")])

@@ -448,8 +448,24 @@ class TestPathEnumeration:
 
     def test_flow_override_length_checked(self):
         net = Network(node_ids=("s", "t"), arcs=(("s", "t", 3.0, math.inf),))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="one flow value per path required"):
             models.enumerate_st_paths(net, "s", "t", flows=[1.0, 2.0])
+
+    def test_long_chain_without_recursion_limit(self):
+        n = 1500  # deeper than Python's default recursion limit
+        arcs = tuple((k, k + 1, 1.0, math.inf) for k in range(n - 1))
+        ps = models.enumerate_st_paths(Network(node_ids=tuple(range(n)), arcs=arcs), 0, n - 1)
+        assert ps.paths == (tuple(range(n)),)
+        assert ps.flow == (1.0,)
+
+    def test_none_is_a_node_id(self):
+        net = Network(
+            node_ids=("s", None, "t"),
+            arcs=(("s", None, 2.0, math.inf), (None, "t", 3.0, math.inf), ("s", "t", 1.0, math.inf)),
+        )
+        ps = models.enumerate_st_paths(net, "s", "t")
+        assert ps.paths == (("s", None, "t"), ("s", "t"))
+        assert ps.flow == (2.0, 1.0)
 
     @pytest.mark.parametrize("s, t", [("x", "t"), ("s", "x")])
     def test_endpoint_outside_the_network_rejected(self, s, t):

@@ -95,11 +95,15 @@ class TestDistanceMatrix:
         assert d.to_ids == ("1", "2")
         assert d.d.tolist() == [[0.0, 5.0], [5.0, 0.0]]
 
-    def test_column_selection(self):
-        text = "a,junk,b,dist\n1,zz,2,7\n2,zz,1,7\n1,zz,1,0\n2,zz,2,0\n"
-        d = parse_distance_matrix(text, from_col=0, to_col=2, dist_col=3)
+    def test_ids_keep_first_appearance_order(self):
+        text = "a,b,dist\n1,2,7\n2,1,7\n1,1,0\n2,2,0\n"
+        d = parse_distance_matrix(text)
         assert d.to_ids == ("2", "1")  # first-appearance order
         assert d.d.tolist() == [[7.0, 0.0], [0.0, 7.0]]
+
+    def test_short_row_names_its_line(self):
+        with pytest.raises(DistanceCsvError, match="^line 3: missing column$"):
+            parse_distance_matrix("f,t,d\n1,1,0\n1,2\n")
 
     def test_duplicate_pair_rejected(self):
         text = "f,t,d\n1,2,3\n1,2,4\n"
