@@ -262,13 +262,16 @@ def _run_color(args, stdout) -> int:
     started = time.perf_counter()
     result = models.min_colors(adj, args.max_colors)
     wall = None if args.deterministic else time.perf_counter() - started
-    if result.colors is None:
+    if result.status is not Status.OPTIMAL:
+        status = _STATUS_TEXT[result.status]
         if args.json:
-            doc = {"status": "Infeasible", "max_colors": args.max_colors}
+            doc = {"status": status, "max_colors": args.max_colors}
             stdout.write(json.dumps(doc, indent=2) + "\n")
-        else:
+        elif result.status is Status.INFEASIBLE:
             stdout.write(f"status: Infeasible\nno coloring with up to {args.max_colors} colors\n")
-        return 2
+        else:
+            stdout.write(f"status: {status}\n")
+        return _STATUS_EXIT.get(result.status, 1)
     if args.json:
         doc = {
             "status": "Optimal",

@@ -2,9 +2,12 @@
 into solvable mixed-integer problems.
 
 Each builder is a pure function returning a MipProblem and never calls the
-solver; only `min_colors` solves, one coloring model per color count. A
-builder fills dense numpy blocks (objective, equality rows, <= rows, bounds)
-and hands them to `LinearProgram`, which copies and checks them once.
+solver; only `min_colors` solves, one coloring model per color count. The
+coloring model fixes a greedy clique of q areas to colors 0..q-1, which
+removes the colors' interchangeability from its search, and `min_colors`
+starts its scan at q. A builder fills dense numpy blocks (objective,
+equality rows, <= rows, bounds) and hands them to `LinearProgram`, which
+copies and checks them once.
 Distances come in as the checked array of a `DistanceMatrix`, indexed
 directly. Bounds default to [0, inf); builders state only other bounds, and
 `MipProblem` clamps binary variables into [0, 1]. Variable names concatenate
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .branch_bound import MipProblem, VarKind
-from .linprog import LinearProgram
+from .linprog import LinearProgram, Status
 
 __all__ = [
     "InputError",
@@ -185,6 +188,19 @@ def _edges(adj: AdjacencySet) -> np.ndarray:
     index = {a: i for i, a in enumerate(adj.area_ids)}
     edges = sorted(sorted(index[a] for a in pair) for pair in adj.pairs)
     return np.array(edges, dtype=int).reshape(-1, 2)
+
+
+def _greedy_clique(edges: np.ndarray, n_areas: int) -> np.ndarray:
+    """The area indices of a clique, in area order: areas are taken by
+    degree, highest first (ties in area order), and each one that borders
+    every area kept so far is kept."""
+    touches = np.zeros((n_areas, n_areas), dtype=bool)
+    touches[edges[:, 0], edges[:, 1]] = touches[edges[:, 1], edges[:, 0]] = True
+    kept = []
+    for i in np.argsort(-touches.sum(axis=1), kind="stable"):
+        if touches[i, kept].all():
+            kept.append(i)
+    return np.sort(np.array(kept, dtype=int))
 
 
 def _shipments(cost: DistanceMatrix, demand, capacity, site: str):
@@ -385,7 +401,12 @@ def build_flow_capture(ps: PathSet, candidates, p: int) -> MipProblem:
 
 def build_coloring(adj: AdjacencySet, colors: int) -> MipProblem:
     """Feasibility model: one color per area, boundary pairs never share a
-    color. Variables are laid out in per-color blocks (x[k*N + i])."""
+    color. Variables are laid out in per-color blocks (x[k*N + i]).
+
+    Colors are interchangeable, so the first min(q, colors) areas of a greedy
+    clique of q areas take colors 0, 1, ... in area order, through their lower
+    bounds: a coloring exists iff one exists with the clique so fixed. With
+    fewer colors than q, the root LP is infeasible."""
     if colors < 1:
         raise InputError("need at least one color")
     areas = adj.area_ids
@@ -395,12 +416,16 @@ def build_coloring(adj: AdjacencySet, colors: int) -> MipProblem:
     rows = np.arange(len(edges))
     ends = np.zeros((len(edges), n_areas))  # row: the two areas of a boundary pair
     ends[rows, edges[:, 0]] = ends[rows, edges[:, 1]] = 1.0
+    clique = _greedy_clique(edges, n_areas)[:colors]
+    lo = np.zeros(n)
+    lo[np.arange(len(clique)) * n_areas + clique] = 1.0  # clique area j takes color j
     base = LinearProgram(
         np.ones(n),
         np.tile(np.eye(n_areas), colors),  # one color per area
         np.ones(n_areas),
         np.kron(np.eye(colors), ends),  # per color: a pair never shares it
         np.ones(colors * len(edges)),
+        lo,
     )
     return MipProblem(
         base=base,
@@ -411,29 +436,38 @@ def build_coloring(adj: AdjacencySet, colors: int) -> MipProblem:
 
 @dataclass(frozen=True)
 class MinColorsResult:
-    colors: int | None  # None when no count up to max_colors works
+    # OPTIMAL with the smallest count, INFEASIBLE when no count up to
+    # max_colors works, or the unresolved status of the solve that stopped the scan
+    status: Status
+    colors: int | None = None  # set only when status is OPTIMAL
     assignment: dict = field(default_factory=dict)  # area -> color index (0-based)
 
 
 def min_colors(adj: AdjacencySet, max_colors: int) -> MinColorsResult:
-    """Smallest feasible color count in 1..max_colors by ascending scan."""
+    """Smallest feasible color count by ascending scan over q..max_colors,
+    where q (at least 1) is the size of the greedy clique `build_coloring`
+    fixes: a q-clique needs q colors. A count whose solve ends unresolved
+    (ITERATION_LIMIT or NUMERICAL) without a coloring stops the scan with that
+    status, since no larger count could then be proven the smallest."""
     from .branch_bound import solve_mip  # looked up per call, so a rebinding takes effect
-    from .linprog import Status
 
     if max_colors < 1:
         raise InputError(f"max_colors must be >= 1, got {max_colors}")
     areas = adj.area_ids
     n_areas = len(areas)
-    for k in range(1, max_colors + 1):
+    q = len(_greedy_clique(_edges(adj), n_areas))
+    for k in range(max(1, q), max_colors + 1):
         outcome = solve_mip(build_coloring(adj, k))
-        if outcome.status is Status.OPTIMAL:
+        if outcome.x is not None:  # a coloring found settles k, whatever else is left open
             assignment = {}
             for color in range(k):
                 for i, area in enumerate(areas):
                     if outcome.x[color * n_areas + i] > 0.5:
                         assignment[area] = color
-            return MinColorsResult(colors=k, assignment=assignment)
-    return MinColorsResult(colors=None)
+            return MinColorsResult(Status.OPTIMAL, colors=k, assignment=assignment)
+        if outcome.status is not Status.INFEASIBLE:
+            return MinColorsResult(outcome.status)
+    return MinColorsResult(Status.INFEASIBLE)
 
 
 def build_service_coverage(d: DistanceMatrix, p: int) -> MipProblem:

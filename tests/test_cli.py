@@ -13,6 +13,7 @@ import pytest
 import pftopt
 from pftopt import branch_bound
 from pftopt.cli import PARSE_ERROR, USAGE_ERROR, run
+from pftopt.linprog import SolveLimits
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -379,6 +380,18 @@ class TestSpatialCommands:
         assert code == 0
         doc = {"status": "Optimal", "colors": 2, "assignment": {"A": 0, "C": 0, "B": 1}}
         assert out == json.dumps(doc, indent=2) + "\n"
+
+    def test_color_unresolved_scan_reports_its_status(self, fixtures, monkeypatch):
+        original = branch_bound.solve_mip
+
+        def capped(mip, limits=None):
+            return original(mip, SolveLimits(max_iterations=5))
+
+        monkeypatch.setattr(branch_bound, "solve_mip", capped)
+        argv = ["color", "--gal", str(fixtures / "neighborhoods.gal"), "--max-colors", "4"]
+        assert _run(argv) == (1, "status: IterationLimit\n", "")
+        doc = {"status": "IterationLimit", "max_colors": 4}
+        assert _run(argv + ["--json"]) == (1, json.dumps(doc, indent=2) + "\n", "")
 
     def test_color_writes_assignment(self, fixtures, tmp_path):
         out_path = tmp_path / "colors.csv"

@@ -4,7 +4,9 @@ Problems are generated by hypothesis from a fixed seed (derandomize) with a
 fixed example budget, so every run checks the same problems.
 """
 
+import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,8 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
+from model_oracles import chromatic_oracle
+
+from pftopt import models, spatial
 from pftopt.branch_bound import MipProblem, VarKind, solve_mip
 from pftopt.linprog import LinearProgram, Status, solve_lp, split_senses
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -276,3 +283,42 @@ def _covering_lp(seed):
 def test_covering_lps_match_highs(seed):
     lp = _covering_lp(seed)
     _assert_same_answer(solve_lp(lp), *_highs_lp(lp))
+
+
+def _cycle(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def _coloring_graphs():
+    """(areas, pairs) params: the fixture map, graphs whose chromatic number
+    exceeds their greedy clique (odd cycles, an odd wheel, the Groetzsch
+    graph), and seeded random graphs."""
+    gal = spatial.parse_gal((FIXTURES / "neighborhoods.gal").read_text())
+    hood = spatial.weights_to_pairs(gal)
+    yield pytest.param(hood.area_ids, [tuple(p) for p in hood.pairs], id="neighborhoods")
+    yield pytest.param(range(5), _cycle(5), id="C5")
+    yield pytest.param(range(7), _cycle(7), id="C7")
+    yield pytest.param(range(6), _cycle(5) + [(5, i) for i in range(5)], id="W5")
+    outer, inner = _cycle(5), [(5 + i, j) for i in range(5) for j in ((i + 1) % 5, (i - 1) % 5)]
+    yield pytest.param(range(11), outer + inner + [(10, 5 + i) for i in range(5)], id="groetzsch")
+    rng = np.random.default_rng(7)
+    for seed in range(8):
+        n = int(rng.integers(4, 9))
+        pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        yield pytest.param(range(n), pairs, id=f"random{seed}")
+
+
+@pytest.mark.parametrize("areas, pairs", _coloring_graphs())
+def test_clique_fixed_coloring_matches_highs(areas, pairs):
+    """For every color count k from the greedy clique's size q to chi + 1,
+    HiGHS and solve_mip agree on whether the clique-fixed model is feasible;
+    the range includes the infeasible k = chi - 1 whenever chi - 1 >= q."""
+    adj = models.AdjacencySet(tuple(areas), frozenset(frozenset(p) for p in pairs))
+    chromatic = chromatic_oracle(adj.area_ids, pairs)
+    q = len(models._greedy_clique(models._edges(adj), len(adj.area_ids)))
+    for k in range(max(1, q), chromatic + 2):
+        mip = models.build_coloring(adj, k)
+        # _highs_mip keeps only INTEGER kinds integral; mip.base holds the [0, 1] bounds.
+        highs, _ = _highs_mip(mip.base, [VarKind.INTEGER] * mip.num_vars)
+        assert highs is (Status.OPTIMAL if k >= chromatic else Status.INFEASIBLE)
+        assert solve_mip(mip).status is highs

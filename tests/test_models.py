@@ -1,5 +1,6 @@
 """Tests for the model builders, each checked against an independent oracle."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -19,9 +20,9 @@ from model_oracles import (
     tour_oracle,
 )
 
-from pftopt import models
+from pftopt import branch_bound, models, spatial
 from pftopt.branch_bound import solve_mip
-from pftopt.linprog import LinearProgram, Status, solve_lp
+from pftopt.linprog import LinearProgram, SolveLimits, Status, solve_lp
 from pftopt.models import (
     AdjacencySet,
     DistanceMatrix,
@@ -545,15 +546,155 @@ class TestColoring:
         result = models.min_colors(adj, 5)
         assert result.colors is not None and result.colors == 1
 
-    def test_not_found_reports_max_tried(self):
+    def test_not_found_reports_max_tried(self, monkeypatch):
+        outcomes = _recorded_solves(monkeypatch)
         adj = _adjacency([(1, 2), (2, 3), (1, 3)], (1, 2, 3))
         result = models.min_colors(adj, 2)
         assert result.colors is None
+        assert result == models.MinColorsResult(Status.INFEASIBLE)
+        assert outcomes == []  # a triangle needs 3 colors, so max_colors 2 runs no solve
 
     def test_max_colors_below_one_rejected(self):
         adj = _adjacency([(1, 2)], (1, 2))
         with pytest.raises(InputError, match="max_colors must be >= 1, got 0"):
             models.min_colors(adj, 0)
+
+
+def _neighborhoods(fixtures):
+    return spatial.weights_to_pairs(spatial.parse_gal((fixtures / "neighborhoods.gal").read_text()))
+
+
+def _recorded_solves(monkeypatch, limits=None):
+    """Rebind branch_bound.solve_mip to record each outcome, solved under `limits`."""
+    original = branch_bound.solve_mip
+    outcomes = []
+
+    def recording(mip, _limits=None):
+        outcomes.append(original(mip, limits))
+        return outcomes[-1]
+
+    monkeypatch.setattr(branch_bound, "solve_mip", recording)
+    return outcomes
+
+
+def _random_graph(rng):
+    """1-8 areas: a complete graph, an edgeless one, or random pairs (which
+    leave some areas isolated)."""
+    n = rng.randint(1, 8)
+    all_pairs = list(itertools.combinations(range(n), 2))
+    shape = rng.choice(["complete", "edgeless", "random", "random"])
+    if shape == "complete":
+        return n, all_pairs
+    if shape == "edgeless":
+        return n, []
+    density = rng.choice([0.3, 0.6])
+    return n, [p for p in all_pairs if rng.random() < density]
+
+
+class TestColoringClique:
+    def test_greedy_clique_by_degree_in_area_order(self, fixtures):
+        adj = _neighborhoods(fixtures)
+        clique = models._greedy_clique(models._edges(adj), len(adj.area_ids))
+        assert [adj.area_ids[i] for i in clique] == ["3", "5", "6"]
+        demo = _adjacency([("A", "B"), ("B", "C")], ("A", "B", "C"))
+        assert models._greedy_clique(models._edges(demo), 3).tolist() == [0, 1]
+        assert models._greedy_clique(models._edges(_adjacency([], range(4))), 4).tolist() == [0]
+
+    def test_clique_fixed_to_first_colors_through_lower_bounds(self, fixtures):
+        adj = _neighborhoods(fixtures)
+        n = len(adj.area_ids)
+        mip = models.build_coloring(adj, 4)
+        assert np.flatnonzero(mip.base.lo).tolist() == [0 * n + 2, 1 * n + 4, 2 * n + 5]
+        assert (mip.base.hi == 1.0).all()
+        two = models.build_coloring(adj, 2)
+        assert np.flatnonzero(two.base.lo).tolist() == [0 * n + 2, 1 * n + 4]
+
+    @pytest.mark.parametrize("colors", [1, 2, 3])
+    def test_fewer_colors_than_the_clique_infeasible_at_root(self, colors):
+        k4 = _adjacency(itertools.combinations(range(4), 2), range(4))
+        out = solve_mip(models.build_coloring(k4, colors))
+        assert out.status is Status.INFEASIBLE
+        assert out.nodes_explored == 1
+
+    def test_neighborhoods_scan_solves_only_three_and_four(self, fixtures, monkeypatch):
+        outcomes = _recorded_solves(monkeypatch)
+        adj = _neighborhoods(fixtures)
+        result = models.min_colors(adj, 4)
+        assert result.status is Status.OPTIMAL and result.colors == 4
+        assert [o.status for o in outcomes] == [Status.INFEASIBLE, Status.OPTIMAL]
+        assert outcomes[0].nodes_explored == 1
+        assert {result.assignment[a] for a in ("3", "5", "6")} == {0, 1, 2}
+        for pair in adj.pairs:
+            a, b = pair
+            assert result.assignment[a] != result.assignment[b]
+
+    @pytest.mark.parametrize(
+        "pairs, chromatic",
+        [
+            ([(i, (i + 1) % 5) for i in range(5)], 3),
+            ([(i, (i + 1) % 5) for i in range(5)] + [(5, i) for i in range(5)], 4),
+        ],
+        ids=["C5", "W5"],
+    )
+    def test_chromatic_number_above_the_clique(self, pairs, chromatic, monkeypatch):
+        outcomes = _recorded_solves(monkeypatch)
+        adj = _adjacency(pairs, sorted({a for p in pairs for a in p}))
+        result = models.min_colors(adj, 6)
+        assert result.colors == chromatic
+        assert [o.status for o in outcomes] == [Status.INFEASIBLE, Status.OPTIMAL]
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_random_graphs_match_backtracking(self, seed):
+        rng = random.Random(seed)
+        n, pairs = _random_graph(rng)
+        adj = _adjacency(pairs, range(n))
+        chromatic = chromatic_oracle(adj.area_ids, pairs)
+        result = models.min_colors(adj, n)
+        assert result.status is Status.OPTIMAL and result.colors == chromatic
+        assert sorted(result.assignment) == list(range(n))
+        assert all(0 <= c < chromatic for c in result.assignment.values())
+        for a, b in pairs:
+            assert result.assignment[a] != result.assignment[b]
+        if chromatic > 1:
+            assert models.min_colors(adj, chromatic - 1) == models.MinColorsResult(
+                Status.INFEASIBLE
+            )
+
+
+class TestColoringUnresolved:
+    def test_pivot_cap_stops_the_scan(self, fixtures, monkeypatch):
+        outcomes = _recorded_solves(monkeypatch, SolveLimits(max_iterations=5))
+        result = models.min_colors(_neighborhoods(fixtures), 4)
+        assert result == models.MinColorsResult(Status.ITERATION_LIMIT)
+        assert [o.status for o in outcomes] == [Status.ITERATION_LIMIT]
+
+    def test_unresolved_count_never_skipped(self, fixtures, monkeypatch):
+        """A NUMERICAL k = 3 must not let k = 4's coloring through as the minimum."""
+        original = branch_bound.solve_mip
+        tried = []
+
+        def numerical_at_three(mip, limits=None):
+            colors = mip.num_vars // 11
+            tried.append(colors)
+            if colors == 3:
+                return branch_bound.MipOutcome(status=Status.NUMERICAL)
+            return original(mip, limits)
+
+        monkeypatch.setattr(branch_bound, "solve_mip", numerical_at_three)
+        result = models.min_colors(_neighborhoods(fixtures), 4)
+        assert result == models.MinColorsResult(Status.NUMERICAL)
+        assert tried == [3]
+
+    def test_coloring_found_settles_an_unresolved_solve(self, monkeypatch):
+        original = branch_bound.solve_mip
+
+        def unresolved(mip, limits=None):
+            out = original(mip, limits)
+            return dataclasses.replace(out, status=Status.ITERATION_LIMIT)
+
+        monkeypatch.setattr(branch_bound, "solve_mip", unresolved)
+        result = models.min_colors(_adjacency([(1, 2)], (1, 2)), 2)
+        assert result == models.MinColorsResult(Status.OPTIMAL, 2, {1: 0, 2: 1})
 
 
 class TestServiceCoverage:
