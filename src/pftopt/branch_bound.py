@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +59,8 @@ class MipProblem:
         if any(not name for name in names):
             raise MalformedProblemError("variable names must be non-empty")
         if len(set(names)) != n:
-            raise MalformedProblemError("variable names must be unique")
+            repeated = next(name for name, count in Counter(names).items() if count > 1)
+            raise MalformedProblemError(f"variable names must be unique; {repeated!r} repeats")
         # Binary variables are clamped into [0, 1] here, and only here.
         base = self.base
         binary = np.array([kind is VarKind.BINARY for kind in kinds], dtype=bool)

@@ -8,12 +8,14 @@ removes the colors' interchangeability from its search, and `min_colors`
 starts its scan at q. A builder fills dense numpy blocks (objective,
 equality rows, <= rows, bounds) and hands them to `LinearProgram`, which
 copies and checks them once.
-Distances come in as the checked array of a `DistanceMatrix`, indexed
-directly. Bounds default to [0, inf); builders state only other bounds, and
-`MipProblem` clamps binary variables into [0, 1]. Variable names concatenate
-the ids of the underlying formulations (arc variables "X<i><j>", assignment
-variables "Y<i><j>", placement variables "X<j>"), so multi-digit ids can
-collide.
+Each input holds the checked read-only array its builders index directly:
+a `DistanceMatrix` its distances `d`, a `Network` its node-arc `incidence`,
+and an `AdjacencySet` its boundary matrix `touches`. Bounds default to
+[0, inf); builders state only other bounds, and `MipProblem` clamps binary
+variables into [0, 1]. Variable names concatenate the ids of the underlying
+formulations (arc variables "X<i><j>", assignment variables "Y<i><j>",
+placement variables "X<j>"), so multi-digit ids can collide, and
+`MipProblem` then refuses the model, naming the repeated name.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import branch_bound
 from .branch_bound import MipProblem, VarKind
 from .linprog import LinearProgram, Status
 
@@ -55,20 +58,28 @@ class InputError(ValueError):
 @dataclass(frozen=True)
 class Network:
     """Directed arc list; weights are finite and >= 0, capacities >= 0 and
-    math.inf for uncapacitated arcs."""
+    math.inf for uncapacitated arcs.
+
+    `incidence` is the read-only float node x arc matrix, made once with the
+    checks: +1 where an arc enters a node, -1 where it leaves, one row per
+    node in node_ids order.
+    """
 
     node_ids: tuple
     arcs: tuple  # of (tail, head, weight, capacity)
+    incidence: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = tuple(self.node_ids)
-        if len(set(nodes)) != len(nodes):
+        row = {node: k for k, node in enumerate(nodes)}
+        if len(row) != len(nodes):
             raise InputError("duplicate node ids")
-        node_set = set(nodes)
+        given = tuple(self.arcs)
+        incidence = np.zeros((len(nodes), len(given)))
         seen = set()
         arcs = []
-        for tail, head, weight, capacity in self.arcs:
-            if tail not in node_set or head not in node_set:
+        for k, (tail, head, weight, capacity) in enumerate(given):
+            if tail not in row or head not in row:
                 raise InputError(f"arc ({tail}, {head}) references an unknown node")
             if tail == head:
                 raise InputError(f"self-loop on node {tail}")
@@ -82,8 +93,12 @@ class Network:
             if not capacity >= 0:
                 raise InputError(f"arc ({tail}, {head}): capacity {capacity} must be >= 0")
             arcs.append((tail, head, weight, capacity))
+            incidence[row[head], k] = 1.0
+            incidence[row[tail], k] = -1.0
+        incidence.flags.writeable = False
         object.__setattr__(self, "node_ids", nodes)
         object.__setattr__(self, "arcs", tuple(arcs))
+        object.__setattr__(self, "incidence", incidence)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,29 +136,36 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class AdjacencySet:
+    """Unordered boundary pairs between areas.
+
+    `touches` is the read-only symmetric boolean area x area matrix, made
+    once with the checks: True where two areas share a boundary, False on
+    the diagonal, rows and columns in area_ids order.
+    """
+
     area_ids: tuple
     pairs: frozenset  # of frozenset({a, b}) boundary pairs
+    touches: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         areas = tuple(self.area_ids)
-        if len(set(areas)) != len(areas):
+        index = {a: i for i, a in enumerate(areas)}
+        if len(index) != len(areas):
             raise InputError("duplicate area ids")
-        area_set = set(areas)
+        touches = np.zeros((len(areas), len(areas)), dtype=bool)
         norm = set()
         for pair in map(frozenset, self.pairs):
             if len(pair) != 2:
                 raise InputError(f"pair {set(pair)} must name two distinct areas")
             a, b = pair
-            if a not in area_set or b not in area_set:
+            if a not in index or b not in index:
                 raise InputError(f"pair ({a}, {b}) references an unknown area")
             norm.add(pair)
+            touches[index[a], index[b]] = touches[index[b], index[a]] = True
+        touches.flags.writeable = False
         object.__setattr__(self, "area_ids", areas)
         object.__setattr__(self, "pairs", frozenset(norm))
-
-    def neighbors(self, area) -> list:
-        out = [b for pair in self.pairs for b in pair if area in pair and b != area]
-        order = {a: i for i, a in enumerate(self.area_ids)}
-        return sorted(set(out), key=order.__getitem__)
+        object.__setattr__(self, "touches", touches)
 
 
 @dataclass(frozen=True)
@@ -183,19 +205,10 @@ def _check_p(p: int, candidates: int) -> None:
         raise InputError("p exceeds the candidate count")
 
 
-def _edges(adj: AdjacencySet) -> np.ndarray:
-    """The boundary pairs as rows (a, b) of area indices, a < b, sorted."""
-    index = {a: i for i, a in enumerate(adj.area_ids)}
-    edges = sorted(sorted(index[a] for a in pair) for pair in adj.pairs)
-    return np.array(edges, dtype=int).reshape(-1, 2)
-
-
-def _greedy_clique(edges: np.ndarray, n_areas: int) -> np.ndarray:
+def _greedy_clique(touches: np.ndarray) -> np.ndarray:
     """The area indices of a clique, in area order: areas are taken by
     degree, highest first (ties in area order), and each one that borders
     every area kept so far is kept."""
-    touches = np.zeros((n_areas, n_areas), dtype=bool)
-    touches[edges[:, 0], edges[:, 1]] = touches[edges[:, 1], edges[:, 0]] = True
     kept = []
     for i in np.argsort(-touches.sum(axis=1), kind="stable"):
         if touches[i, kept].all():
@@ -221,17 +234,6 @@ def _shipments(cost: DistanceMatrix, demand, capacity, site: str):
     return demand, capacity, np.tile(np.eye(n), m), np.kron(np.eye(m), np.ones((1, n))), pairs
 
 
-def _incidence(net: Network) -> np.ndarray:
-    """Node-arc incidence, one row per node in node_ids order: +1 where an
-    arc enters the node, -1 where it leaves."""
-    row = {node: k for k, node in enumerate(net.node_ids)}
-    inc = np.zeros((len(net.node_ids), len(net.arcs)))
-    for idx, (tail, head, _, _) in enumerate(net.arcs):
-        inc[row[head], idx] = 1.0
-        inc[row[tail], idx] = -1.0
-    return inc
-
-
 def _check_endpoints(net: Network, s, t) -> None:
     if s == t:
         raise InputError("source and sink must differ")
@@ -244,7 +246,7 @@ def build_shortest_path(net: Network, s, t) -> MipProblem:
     caps on every node that has entering arcs."""
     _check_endpoints(net, s, t)
     arcs = net.arcs
-    inc = _incidence(net)
+    inc = net.incidence
     b_eq = np.zeros(len(net.node_ids))
     b_eq[net.node_ids.index(s)] = -1.0
     b_eq[net.node_ids.index(t)] = 1.0
@@ -328,9 +330,7 @@ def build_set_cover(adj: AdjacencySet, cost) -> MipProblem:
     for area, c in zip(areas, cost):
         if not 0 < c < math.inf:
             raise InputError(f"cost of area {area} must be finite and positive, got {c:g}")
-    i, j = _edges(adj).T
-    covers = np.eye(n)  # row: the area's closed neighborhood
-    covers[i, j] = covers[j, i] = 1.0
+    covers = np.eye(n) + adj.touches  # row: the area's closed neighborhood
     # covers @ x >= 1, negated into <= form.
     base = LinearProgram(cost, A_ub=-covers, b_ub=np.full(n, -1.0))
     return MipProblem(base=base, kinds=[VarKind.BINARY] * n, names=[f"X{a}" for a in areas])
@@ -412,11 +412,11 @@ def build_coloring(adj: AdjacencySet, colors: int) -> MipProblem:
     areas = adj.area_ids
     n_areas = len(areas)
     n = n_areas * colors
-    edges = _edges(adj)
+    edges = np.argwhere(np.triu(adj.touches))  # rows (a, b), a < b, row-major
     rows = np.arange(len(edges))
     ends = np.zeros((len(edges), n_areas))  # row: the two areas of a boundary pair
     ends[rows, edges[:, 0]] = ends[rows, edges[:, 1]] = 1.0
-    clique = _greedy_clique(edges, n_areas)[:colors]
+    clique = _greedy_clique(adj.touches)[:colors]
     lo = np.zeros(n)
     lo[np.arange(len(clique)) * n_areas + clique] = 1.0  # clique area j takes color j
     base = LinearProgram(
@@ -449,15 +449,13 @@ def min_colors(adj: AdjacencySet, max_colors: int) -> MinColorsResult:
     fixes: a q-clique needs q colors. A count whose solve ends unresolved
     (ITERATION_LIMIT or NUMERICAL) without a coloring stops the scan with that
     status, since no larger count could then be proven the smallest."""
-    from .branch_bound import solve_mip  # looked up per call, so a rebinding takes effect
-
     if max_colors < 1:
         raise InputError(f"max_colors must be >= 1, got {max_colors}")
     areas = adj.area_ids
     n_areas = len(areas)
-    q = len(_greedy_clique(_edges(adj), n_areas))
+    q = len(_greedy_clique(adj.touches))
     for k in range(max(1, q), max_colors + 1):
-        outcome = solve_mip(build_coloring(adj, k))
+        outcome = branch_bound.solve_mip(build_coloring(adj, k))
         if outcome.x is not None:  # a coloring found settles k, whatever else is left open
             assignment = {}
             for color in range(k):
@@ -512,7 +510,7 @@ def build_max_flow(net: Network, s, t, sink_cap: float | None = None) -> MipProb
     if sink_cap is not None and not 0 <= sink_cap < math.inf:
         raise InputError(f"sink_cap must be finite and non-negative, got {sink_cap:g}")
     arcs = net.arcs
-    inc = _incidence(net)
+    inc = net.incidence
     inner = [k for k, node in enumerate(net.node_ids) if node not in (s, t)]
     A_ub = b_ub = None
     if sink_cap is not None:  # total flow into the sink

@@ -47,15 +47,11 @@ class DistanceCsvError(ValueError):
 
 @dataclass(frozen=True)
 class SpatialWeights:
+    """A parsed `.gal` file; `parse_gal` checks that it holds exactly the
+    header's area count of records."""
+
     header: tuple  # (flag, area count, dataset name, key name) tokens
     neighbors: dict  # area id -> ordered neighbor id list
-
-    def __post_init__(self) -> None:
-        count = int(self.header[1])
-        if count != len(self.neighbors):
-            raise InputError(
-                f"header declares {count} areas, found {len(self.neighbors)} entries"
-            )
 
 
 @dataclass(frozen=True)

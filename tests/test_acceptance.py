@@ -131,7 +131,7 @@ def test_criterion_3_set_cover():
         area_ids=tuple(range(1, 12)),
         pairs=frozenset(frozenset(p) for p in BOUNDARY_PAIRS),
     )
-    closed = {a: {a, *adj.neighbors(a)} for a in adj.area_ids}
+    closed = {a: {a}.union(*(p for p in adj.pairs if a in p)) for a in adj.area_ids}
     checks = []
     uniform = solve_mip(models.build_set_cover(adj, [1.0] * 11))
     checks.append(("uniform objective 3", uniform.status is Status.OPTIMAL

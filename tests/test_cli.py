@@ -594,7 +594,11 @@ class TestArgumentErrors:
         tour = tmp_path / "tour.csv"
         tour.write_text("from,to,dist\n" + "".join(
             f"{i},{j},{0 if i == j else i + j}\n" for i in range(1, 5) for j in range(1, 5)))
-        return {"two": str(two), "tour": str(tour), "gal": str(fixtures / "demo.gal"),
+        eleven = tmp_path / "eleven.csv"
+        eleven.write_text("from,to,dist\n" + "".join(
+            f"{i},{j},{abs(i - j)}\n" for i in range(1, 12) for j in range(1, 12)))
+        return {"two": str(two), "tour": str(tour), "eleven": str(eleven),
+                "gal": str(fixtures / "demo.gal"),
                 "net": str(fixtures / "capacitated.net.csv"),
                 "road": str(fixtures / "intercity_road.net.csv")}
 
@@ -628,12 +632,14 @@ class TestArgumentErrors:
              "cost of area C must be finite and positive, got inf"),
             (["flow-capture", "--net", "{road}", "--source", "99", "--sink", "7",
               "--placements", "2"], "source or sink not in network"),
+            # Arc names concatenate ids: (1, 11) and (11, 1) are both X111.
+            (["tour", "--dist", "{eleven}"], "variable names must be unique; 'X111' repeats"),
         ],
         ids=["open-negative", "max-colors-zero", "sink-cap-negative", "demand-negative",
              "capacity-negative", "facility-capacity-negative", "fixed-not-a-number", "fixed-nan",
              "demand-not-a-number", "force-arc-one-end", "force-arc-three-ends",
              "force-arc-blank-end", "cover-cost-nan", "cover-cost-inf",
-             "flow-capture-source-outside"],
+             "flow-capture-source-outside", "tour-arc-names-collide"],
     )
     def test_exits_64_naming_the_item(self, inputs, argv, message):
         code, out, err = _run([arg.format(**inputs) for arg in argv])

@@ -315,10 +315,21 @@ def test_clique_fixed_coloring_matches_highs(areas, pairs):
     the range includes the infeasible k = chi - 1 whenever chi - 1 >= q."""
     adj = models.AdjacencySet(tuple(areas), frozenset(frozenset(p) for p in pairs))
     chromatic = chromatic_oracle(adj.area_ids, pairs)
-    q = len(models._greedy_clique(models._edges(adj), len(adj.area_ids)))
+    q = len(models._greedy_clique(adj.touches))
     for k in range(max(1, q), chromatic + 2):
         mip = models.build_coloring(adj, k)
         # _highs_mip keeps only INTEGER kinds integral; mip.base holds the [0, 1] bounds.
         highs, _ = _highs_mip(mip.base, [VarKind.INTEGER] * mip.num_vars)
         assert highs is (Status.OPTIMAL if k >= chromatic else Status.INFEASIBLE)
         assert solve_mip(mip).status is highs
+
+
+@pytest.mark.parametrize("areas, pairs", _coloring_graphs())
+def test_coloring_pair_rows_in_sorted_index_order(areas, pairs):
+    """The pair rows of a one-color model, read back as area indices, are the
+    boundary pairs as sorted index pairs (a, b), a < b, in sorted order."""
+    adj = models.AdjacencySet(tuple(areas), frozenset(frozenset(p) for p in pairs))
+    index = {a: i for i, a in enumerate(adj.area_ids)}
+    reference = sorted(sorted(index[a] for a in p) for p in adj.pairs)
+    rows = models.build_coloring(adj, 1).base.A_ub
+    assert [np.flatnonzero(row).tolist() for row in rows] == reference

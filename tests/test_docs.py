@@ -1,5 +1,6 @@
 """The public surface and the README examples stay runnable."""
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -10,7 +11,7 @@ import re
 import pytest
 
 import pftopt
-from pftopt import Status
+from pftopt import Status, cli
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
@@ -50,3 +51,14 @@ def test_readme_library_example_solves_to_9():
     assert namespace["out"].status is Status.OPTIMAL
     assert namespace["out"].objective_value == 9.0
     assert printed == "OPTIMAL 9.0\n"
+
+
+def test_readme_cli_block_names_every_subcommand():
+    [block] = re.findall(r"^```sh\n(pftopt .*?)^```", README.read_text(), re.M | re.S)
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("pftopt ")]
+    [subparsers] = [
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert sorted(listed) == sorted(subparsers.choices)

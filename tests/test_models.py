@@ -22,7 +22,7 @@ from model_oracles import (
 
 from pftopt import branch_bound, models, spatial
 from pftopt.branch_bound import solve_mip
-from pftopt.linprog import LinearProgram, SolveLimits, Status, solve_lp
+from pftopt.linprog import LinearProgram, MalformedProblemError, SolveLimits, Status, solve_lp
 from pftopt.models import (
     AdjacencySet,
     DistanceMatrix,
@@ -96,6 +96,40 @@ class TestNetworkValidation:
             Network(node_ids=(1, 2), arcs=((1, 2, weight, capacity),))
 
 
+class TestNetworkIncidence:
+    @pytest.mark.parametrize(
+        "net",
+        [
+            network(ROAD),
+            Network(
+                node_ids=("c", "a", "b"),
+                arcs=(("a", "c", 1.0, 2.0), ("c", "b", 1.0, math.inf), ("b", "a", 0.0, 0.0)),
+            ),
+        ],
+        ids=["road", "unsorted-ids"],
+    )
+    def test_one_plus_one_at_the_head_and_one_minus_one_at_the_tail(self, net):
+        assert net.incidence.shape == (len(net.node_ids), len(net.arcs))
+        assert net.incidence.dtype == float
+        for column, (tail, head, _, _) in zip(net.incidence.T, net.arcs):
+            expected = np.zeros(len(net.node_ids))
+            expected[net.node_ids.index(head)] = 1.0
+            expected[net.node_ids.index(tail)] = -1.0
+            assert column.tolist() == expected.tolist()
+
+    def test_no_arcs(self):
+        assert Network(node_ids=(1, 2), arcs=()).incidence.shape == (2, 0)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            network(ROAD).incidence[0, 0] = 1.0
+
+    def test_equal_networks_compare_and_hash_alike(self):
+        a, b = network(ROAD), network(ROAD)
+        assert a == b and hash(a) == hash(b)
+        assert a != network(ROAD, CAPACITIES)
+
+
 class TestDistanceMatrixForm:
     def test_rows_become_a_read_only_array(self):
         dm = DistanceMatrix(from_ids=[1, 2], to_ids=[1, 2, 3], d=[(0, 1, 2), (1, 0, 3)])
@@ -142,6 +176,54 @@ class TestAdjacencySet:
     def test_unknown_area_rejected(self):
         with pytest.raises(InputError, match=r"references an unknown area"):
             AdjacencySet((1, 2), {frozenset({1, 4})})
+
+    def test_touches_is_the_symmetric_boundary_matrix(self):
+        adj = _adjacency([(1, 2), (2, 1), (3, 2), (1, 4)], (4, 3, 2, 1))
+        touches = adj.touches
+        assert touches.dtype == bool and touches.shape == (4, 4)
+        assert (touches == touches.T).all() and not touches.diagonal().any()
+        assert touches.sum() == 2 * len(adj.pairs) == 6
+        index = {a: i for i, a in enumerate(adj.area_ids)}
+        assert all(touches[index[a], index[b]] for a, b in map(tuple, adj.pairs))
+
+    def test_touches_covers_the_ids_weights_to_pairs_adds(self):
+        text = "0 2 demo ID\nA 1\nB\nB 2\nA Z\n"
+        with pytest.warns(UserWarning):
+            adj = spatial.weights_to_pairs(spatial.parse_gal(text))
+        assert adj.area_ids == ("A", "B", "Z")
+        assert adj.touches.tolist() == [
+            [False, True, False],
+            [True, False, True],
+            [False, True, False],
+        ]
+        assert adj.touches.sum() == 2 * len(adj.pairs)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            _adjacency(BOUNDARY_PAIRS, range(1, 12)).touches[0, 1] = False
+
+    def test_equal_sets_compare_and_hash_alike(self):
+        a = _adjacency(BOUNDARY_PAIRS, range(1, 12))
+        b = _adjacency([(j, i) for i, j in reversed(BOUNDARY_PAIRS)], range(1, 12))
+        assert a == b and hash(a) == hash(b)
+        assert a != _adjacency(BOUNDARY_PAIRS[1:], range(1, 12))
+
+
+class TestRepeatedNames:
+    """Names concatenate ids, so multi-digit ids can collide; the error
+    names the repeated name."""
+
+    def test_tour_over_eleven_ids(self):
+        ids = range(1, 12)
+        dm = DistanceMatrix(from_ids=ids, to_ids=ids, d=1.0 - np.eye(11))
+        with pytest.raises(MalformedProblemError, match="unique; 'X111' repeats$"):
+            models.build_tour(dm)
+
+    def test_service_coverage_over_fifteen_ids(self):
+        ids = range(1, 16)
+        dm = DistanceMatrix(from_ids=ids, to_ids=ids, d=1.0 - np.eye(15))
+        with pytest.raises(MalformedProblemError, match="unique; 'Y111' repeats$"):
+            models.build_service_coverage(dm, 3)
 
 
 class TestShortestPath:
@@ -360,7 +442,7 @@ class TestTour:
 
 class TestSetCover:
     def _closed(self, adj):
-        return {a: {a, *adj.neighbors(a)} for a in adj.area_ids}
+        return {a: {a}.union(*(p for p in adj.pairs if a in p)) for a in adj.area_ids}
 
     def test_uniform_costs(self):
         adj = _adjacency(BOUNDARY_PAIRS, range(1, 12))
@@ -594,11 +676,11 @@ def _random_graph(rng):
 class TestColoringClique:
     def test_greedy_clique_by_degree_in_area_order(self, fixtures):
         adj = _neighborhoods(fixtures)
-        clique = models._greedy_clique(models._edges(adj), len(adj.area_ids))
+        clique = models._greedy_clique(adj.touches)
         assert [adj.area_ids[i] for i in clique] == ["3", "5", "6"]
         demo = _adjacency([("A", "B"), ("B", "C")], ("A", "B", "C"))
-        assert models._greedy_clique(models._edges(demo), 3).tolist() == [0, 1]
-        assert models._greedy_clique(models._edges(_adjacency([], range(4))), 4).tolist() == [0]
+        assert models._greedy_clique(demo.touches).tolist() == [0, 1]
+        assert models._greedy_clique(_adjacency([], range(4)).touches).tolist() == [0]
 
     def test_clique_fixed_to_first_colors_through_lower_bounds(self, fixtures):
         adj = _neighborhoods(fixtures)
