@@ -42,7 +42,7 @@ _STATUS_EXIT = {
 def _num(value: float) -> str:
     if value == int(value):
         return str(int(value))
-    return f"{value:g}"
+    return f"{value:.12g}"
 
 
 def _report(mip: MipProblem, outcome: MipOutcome, wall: float | None, as_json: bool) -> str:
@@ -258,8 +258,8 @@ def _run_audit(args, stdout) -> int:
 
 
 def _run_color(args, stdout) -> int:
-    adj = spatial.weights_to_pairs(spatial.parse_gal(_read(args.gal)))
     started = time.perf_counter()
+    adj = spatial.weights_to_pairs(spatial.parse_gal(_read(args.gal)))
     result = models.min_colors(adj, args.max_colors)
     wall = None if args.deterministic else time.perf_counter() - started
     if result.status is not Status.OPTIMAL:

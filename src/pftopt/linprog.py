@@ -29,7 +29,8 @@ NUMERICAL on a singular basis. Phase 1 is bounded below, so an unbounded ray
 there is reported as NUMERICAL. The tolerances are fixed: feasibility and
 optimality 1e-7. A row is met within 1e-7 * max(1, |b_i|) + 1e3 eps
 sum_j |A_ij x_j|, and before OPTIMAL every row must be met and every bound
-held within 1e-7 * max(1, max |b|), else the status is NUMERICAL.
+held within 1e-7 * max(1, max |b|), and the objective value must be finite,
+else the status is NUMERICAL.
 `LpOutcome.iterations` counts every pivot made, whatever the status.
 
 A solve keeps one basis inverse through every phase. It starts as I, the
@@ -164,7 +165,8 @@ class LinearProgram:
     them. `working` is the simplex's working form [A_eq; A_ub | I], and the
     row blocks are views of it, so the rows are stored once. `eq_rows` and
     `ub_rows` give the rows back as (coefficients, rhs) tuples, computed
-    when read, for the benchmark's tracer (bench/tracing.py).
+    when read; read the arrays instead. They remain only because the
+    benchmark's tracer (bench/tracing.py) counts rows with them.
     """
 
     c: np.ndarray
@@ -220,7 +222,8 @@ class LinearProgram:
     def num_vars(self) -> int:
         return self.c.size
 
-    # bench/tracing.py counts rows as len(lp.eq_rows) + len(lp.ub_rows).
+    # Kept only for bench/tracing.py, which counts rows as
+    # len(lp.eq_rows) + len(lp.ub_rows); they go once it counts the arrays.
     @property
     def eq_rows(self) -> tuple:
         return tuple(zip(map(tuple, self.A_eq.tolist()), self.b_eq.tolist()))
@@ -417,4 +420,7 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     if status is not Status.OPTIMAL:
         return LpOutcome(status=status, iterations=iters)
     x = x[:n].copy()
-    return LpOutcome(status=Status.OPTIMAL, x=x, objective_value=float(lp.c @ x), iterations=iters)
+    value = float(lp.c @ x)
+    if not math.isfinite(value):  # finite c and x, but c.x overflowed
+        return LpOutcome(status=Status.NUMERICAL, iterations=iters)
+    return LpOutcome(status=Status.OPTIMAL, x=x, objective_value=value, iterations=iters)

@@ -9,10 +9,13 @@ PFT v1 CSV layout::
     @sense,,<le|eq|ge>,...,<le|eq|ge>,
     @rhs,,<b-1>,...,<b-K>,
 
-The @sense and @rhs lines may each appear only once. Blank coefficient,
-objective and rhs cells mean zero; a blank lb cell means 0 and a blank ub cell
-means inf. Binary variables may not carry explicit bound cells; `MipProblem`
-clamps them into [0, 1] when the table is compiled.
+The @sense and @rhs lines may stand anywhere after the header, each at most
+once, and are required when K > 0; each reads its cells 3..K+2. Every other
+line is a variable row as wide as the header. Blank coefficient, objective and
+rhs cells mean zero. A blank lb cell means 0 and a blank ub cell inf, and a
+table without `lb,ub` columns reads as all bound cells blank: [0, inf).
+Binary variables may not carry explicit bound cells; `MipProblem` clamps them
+into [0, 1] when the table is compiled.
 Coefficient, objective and rhs cells must be finite numbers; bound cells may
 be -inf/inf but not NaN. The parser checks each cell once and reports the
 first bad one by line and column.
@@ -125,6 +128,17 @@ def _parse_cell(
     return value
 
 
+def _parse_sense(cell: str, line_no: int, col_no: int) -> str:
+    """The constraint sense in one cell: le, eq or ge."""
+    sense = cell.strip()
+    if sense not in _SENSES:
+        raise PftParseError(f"unknown sense token {sense!r}", line_no, col_no)
+    return sense
+
+
+_TAGS = {"@sense": _parse_sense, "@rhs": _parse_cell}
+
+
 def parse_pft(text: str) -> Pft:
     lines = text.splitlines()
     if not lines:
@@ -152,84 +166,68 @@ def parse_pft(text: str) -> Pft:
 
     names: list[str] = []
     kinds: list[VarKind] = []
-    coeffs_by_var: list[float] = []  # row-major, k per variable
-    objective: list[float] = []
+    numbers: list[float] = []  # row-major: k coefficients, then the objective
     lo: list[float] = []
     hi: list[float] = []
-    senses: list[str] | None = None
-    rhs: list[float] | None = None
+    tagged: dict[str, list] = {}  # "@sense"/"@rhs" -> the line's k cells, read
     seen: set = set()
 
     for line_no, row in enumerate(rows[1:], start=3):  # pragma is line 1, header line 2
         if not row or all(not cell.strip() for cell in row):
             continue
-        tag = row[0].strip()
-        if tag == "@sense":
-            if senses is not None:
-                raise PftParseError("repeated @sense line", line_no)
+        name = row[0].strip()
+        if name in _TAGS:
+            if name in tagged:
+                raise PftParseError(f"repeated {name} line", line_no)
             if len(row) < 2 + k:
-                raise PftParseError("ragged @sense line", line_no)
-            senses = [cell.strip() for cell in row[2 : 2 + k]]
-            for j, sense in enumerate(senses):
-                if sense not in _SENSES:
-                    raise PftParseError(f"unknown sense token {sense!r}", line_no, 3 + j)
-            continue
-        if tag == "@rhs":
-            if rhs is not None:
-                raise PftParseError("repeated @rhs line", line_no)
-            if len(row) < 2 + k:
-                raise PftParseError("ragged @rhs line", line_no)
-            rhs = [_parse_cell(cell, line_no, 3 + j) for j, cell in enumerate(row[2 : 2 + k])]
+                raise PftParseError(f"ragged {name} line", line_no)
+            read = _TAGS[name]
+            tagged[name] = [read(cell, line_no, 3 + j) for j, cell in enumerate(row[2 : 2 + k])]
             continue
         if len(row) != len(header):
             raise PftParseError(
                 f"row has {len(row)} cells, header has {len(header)}", line_no
             )
-        name = row[0].strip()
         if not name:
             raise PftParseError("blank variable name", line_no, 1)
-        kind_token = row[1].strip()
-        if kind_token not in _KINDS:
-            raise PftParseError(f"unknown kind letter {kind_token!r}", line_no, 2)
-        kind = _KINDS[kind_token]
+        kind = _KINDS.get(row[1].strip())
+        if kind is None:
+            raise PftParseError(f"unknown kind letter {row[1].strip()!r}", line_no, 2)
         if name in seen:
             raise PftParseError(f"duplicate variable name {name!r}", line_no, 1)
         seen.add(name)
         names.append(name)
         kinds.append(kind)
-        coeffs_by_var += [
-            _parse_cell(cell, line_no, 3 + j) for j, cell in enumerate(row[2:obj_pos])
+        numbers += [
+            _parse_cell(cell, line_no, 3 + j) for j, cell in enumerate(row[2 : obj_pos + 1])
         ]
-        objective.append(_parse_cell(row[obj_pos], line_no, obj_pos + 1))
-        if has_bounds:
-            lb_cell, ub_cell = row[-2], row[-1]
-            if kind is VarKind.BINARY and (lb_cell.strip() or ub_cell.strip()):
-                raise PftParseError(
-                    f"binary variable {name!r} must not carry explicit bounds", line_no
-                )
-            lo.append(_parse_cell(lb_cell, line_no, len(row) - 1, 0.0, finite=False))
-            hi.append(_parse_cell(ub_cell, line_no, len(row), math.inf, finite=False))
+        lb_cell, ub_cell = row[-2:] if has_bounds else ("", "")
+        if kind is VarKind.BINARY and (lb_cell.strip() or ub_cell.strip()):
+            raise PftParseError(
+                f"binary variable {name!r} must not carry explicit bounds", line_no
+            )
+        lo.append(_parse_cell(lb_cell, line_no, len(row) - 1, 0.0, finite=False))
+        hi.append(_parse_cell(ub_cell, line_no, len(row), math.inf, finite=False))
 
     n = len(names)
     if not n:
         raise PftParseError("no variable rows", 3)
-    if k and senses is None:
-        raise PftParseError("missing @sense line", len(lines))
-    if k and rhs is None:
-        raise PftParseError("missing @rhs line", len(lines))
-
+    for tag in _TAGS:
+        if k and tag not in tagged:
+            raise PftParseError(f"missing {tag} line", len(lines))
+    block = np.array(numbers, dtype=float).reshape(n, k + 1)
     return Pft(
         title=title,
         direction=direction,
         names=tuple(names),
         kinds=tuple(kinds),
         constraints=tuple(constraints),
-        senses=tuple(senses or ()),
-        A=np.array(coeffs_by_var, dtype=float).reshape(n, k).T,
-        b=np.array(rhs or (), dtype=float),
-        c=np.array(objective, dtype=float),
-        lo=np.array(lo, dtype=float) if has_bounds else np.zeros(n),
-        hi=np.array(hi, dtype=float) if has_bounds else np.full(n, math.inf),
+        senses=tuple(tagged.get("@sense", ())),
+        A=block[:, :k].T,
+        b=np.array(tagged.get("@rhs", ()), dtype=float),
+        c=block[:, k],
+        lo=np.array(lo),
+        hi=np.array(hi),
     )
 
 

@@ -313,10 +313,10 @@ def test_criterion_9_service_coverage():
 def _solution_satisfies(mip, x, tol=1e-6):
     """Re-evaluate every row, bound, and integrality condition from scratch."""
     lp = mip.base
-    for coeffs, rhs in lp.eq_rows:
+    for coeffs, rhs in zip(lp.A_eq.tolist(), lp.b_eq.tolist()):
         if abs(sum(a * v for a, v in zip(coeffs, x)) - rhs) > tol:
             return False
-    for coeffs, rhs in lp.ub_rows:
+    for coeffs, rhs in zip(lp.A_ub.tolist(), lp.b_ub.tolist()):
         if sum(a * v for a, v in zip(coeffs, x)) > rhs + tol:
             return False
     for lo, hi, v in zip(lp.lo, lp.hi, x):

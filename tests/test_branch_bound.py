@@ -220,10 +220,10 @@ class TestOracles:
         for point in itertools.product((0.0, 1.0), repeat=n):
             ok = all(
                 abs(sum(a * v for a, v in zip(coeffs, point)) - rhs) <= 1e-9
-                for coeffs, rhs in base.eq_rows
+                for coeffs, rhs in zip(base.A_eq.tolist(), base.b_eq.tolist())
             ) and all(
                 sum(a * v for a, v in zip(coeffs, point)) <= rhs + 1e-9
-                for coeffs, rhs in base.ub_rows
+                for coeffs, rhs in zip(base.A_ub.tolist(), base.b_ub.tolist())
             )
             if not ok:
                 continue

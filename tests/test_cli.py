@@ -7,11 +7,12 @@ import pathlib
 import random
 import subprocess
 import sys
+import types
 
 import pytest
 
 import pftopt
-from pftopt import branch_bound
+from pftopt import branch_bound, cli
 from pftopt.cli import PARSE_ERROR, USAGE_ERROR, run
 from pftopt.linprog import SolveLimits
 
@@ -138,6 +139,49 @@ class TestSolve:
         code, out, _ = _run(["solve", "--pft", str(path)])
         assert code == 3
         assert "Unbounded" in out
+
+    def test_overflowing_objective_exits_1(self, tmp_path):
+        # x = 1e308 meets the row, but the objective 1e308 * 1e308 overflows.
+        path = tmp_path / "overflow.pft.csv"
+        path.write_text(
+            "#PFT v1 dir=max title=overflow\n"
+            "var,kind,cap,obj\n"
+            "x,C,1,1e308\n"
+            "y,C,1,1e308\n"
+            "@sense,,le,\n"
+            "@rhs,,1e308,\n"
+        )
+        code, out, _ = _run(["solve", "--pft", str(path), "--deterministic"])
+        assert code == 1
+        assert out.startswith("status: Numerical\n") and "objective" not in out
+
+    def test_report_keeps_12_significant_digits(self, tmp_path):
+        path = tmp_path / "large.pft.csv"
+        path.write_text("#PFT v1 dir=min title=t\nvar,kind,obj,lb,ub\nx,C,1,1234567.5,\n")
+        code, out, _ = _run(["solve", "--pft", str(path), "--deterministic"])
+        assert code == 0
+        assert "objective: 1234567.5\n" in out and "  x = 1234567.5\n" in out
+
+    @pytest.mark.parametrize("command", ["solve", "color"])
+    def test_time_s_spans_the_input_read(self, fixtures, monkeypatch, command):
+        # A fake clock that only reading the input advances: every command
+        # starts timing before its read, so each reports exactly that second.
+        now = [0.0]
+        read = cli._read
+
+        def slow_read(path):
+            now[0] += 1.0
+            return read(path)
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(cli, "_read", slow_read)
+        argv = {
+            "solve": ["solve", "--pft", str(fixtures / "shortest_path.pft.csv")],
+            "color": ["color", "--gal", str(fixtures / "demo.gal"), "--max-colors", "3"],
+        }[command]
+        code, out, _ = _run(argv)
+        assert code == 0
+        assert out.endswith("time_s: 1.000\n")
 
     def test_malformed_pft_exits_65(self, tmp_path):
         path = tmp_path / "bad.pft.csv"

@@ -7,6 +7,8 @@ import io
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -62,3 +64,21 @@ def test_readme_cli_block_names_every_subcommand():
         if isinstance(action, argparse._SubParsersAction)
     ]
     assert sorted(listed) == sorted(subparsers.choices)
+
+
+def test_runtime_imports_are_numpy_only():
+    """Importing every pftopt module loads no third-party module but numpy."""
+    src = str(pathlib.Path(pftopt.__file__).parents[1])
+    script = f"""
+import importlib, sys
+sys.path.insert(0, {src!r})
+before = set(sys.modules)
+for name in {MODULES!r}:
+    importlib.import_module(name)
+tops = {{name.split(".")[0] for name in set(sys.modules) - before}}
+print(sorted(tops - set(sys.stdlib_module_names)))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout == "['numpy', 'pftopt']\n"

@@ -128,7 +128,13 @@ class TestStatuses:
         assert capped.status is Status.ITERATION_LIMIT
         assert capped.iterations == 1
 
-
+    def test_an_overflowing_objective_is_numerical(self):
+        # x = 1e308 is a finite optimum of the rows, but c.x = 1e616 overflows.
+        lp = LinearProgram([1e308, 1e308], A_ub=[[1.0, 1.0]], b_ub=[1e308], direction="max")
+        with np.errstate(over="ignore"):
+            out = solve_lp(lp)
+        assert out.status is Status.NUMERICAL
+        assert out.x is None and out.objective_value is None
 
     def test_a_large_rhs_elsewhere_hides_no_violated_row(self):
         # x >= 5e-4 and x <= 0 cannot both hold. Judged against the rhs

@@ -108,6 +108,22 @@ class TestParse:
             parse_pft(text)
         assert (err.value.line, err.value.column) == (line, column)
 
+    def test_first_bad_line_is_reported(self):
+        # A NaN coefficient on line 3 comes before a bad kind letter on line 5.
+        text = SIMPLE.replace("x1,C,1,3", "x1,C,nan,3").replace("x2,C,1,2", "x2,C,1,2\nx3,Q,1,1")
+        with pytest.raises(PftParseError, match="^cell 'nan' is not a finite number") as err:
+            parse_pft(text)
+        assert (err.value.line, err.value.column) == (3, 3)
+
+    def test_bad_coefficient_comes_before_bad_objective(self):
+        with pytest.raises(PftParseError, match="^cell 'abc' is not numeric") as err:
+            parse_pft(BOUNDED.format(row="x1,C,abc,nan,,"))
+        assert (err.value.line, err.value.column) == (3, 3)
+
+    def test_tag_lines_may_come_first(self):
+        text = "#PFT v1 dir=max title=two crops\nvar,kind,land,obj\n@rhs,,10,\n@sense,,le,\n"
+        assert parse_pft(text + "x1,C,1,3\nx2,C,1,2\n") == parse_pft(SIMPLE)
+
     def test_infinite_bound_cells_are_valid(self):
         table = parse_pft(BOUNDED.format(row="x1,C,1,3,-inf,inf"))
         assert (table.lo.tolist(), table.hi.tolist()) == ([-math.inf], [math.inf])
