@@ -1,10 +1,12 @@
 """LP-relaxation branch-and-bound for mixed binary/integer/continuous programs.
 
 Node selection is best-bound (ties by insertion order) and branching picks the
-most-fractional integer variable, so the search is deterministic. No cuts or
-heuristics, so the node count rests on the formulation alone: the twenty
-lifted-MTZ tours of the benchmark (4 to 8 cities, each also with one arc
-forced) take 138 nodes in all.
+most-fractional integer variable, so the search is deterministic. Each node
+keeps its parent's optimal basis (m ints), and its LP re-optimises from
+there with the dual simplex. No cuts or heuristics, so the node count rests
+on the formulation, and on which vertex of a tied LP optimum each node LP
+returns: the twenty lifted-MTZ tours of the benchmark (4 to 8 cities, each
+also with one arc forced) take 204 nodes and 1,537 pivots in all.
 """
 
 from __future__ import annotations
@@ -108,9 +110,10 @@ def branch(node_relaxation: LpOutcome, mip: MipProblem) -> int | None:
 def solve_mip(mip: MipProblem, limits: SolveLimits | None = None) -> MipOutcome:
     """Exact best-bound branch-and-bound over the LP relaxation tree.
 
-    Every node LP is `mip.base` with the node's bounds; the first node is
-    the root, with the bounds of `mip.base`. An UNBOUNDED node LP ends the
-    solve UNBOUNDED. A node LP that ends unresolved (ITERATION_LIMIT or
+    Every node LP is `mip.base` with the node's bounds, started from its
+    parent's optimal basis (`with_bounds(lo, hi, basis)`); the first node is
+    the root, with the bounds and start of `mip.base`. An UNBOUNDED node LP
+    ends the solve UNBOUNDED. A node LP that ends unresolved (ITERATION_LIMIT or
     NUMERICAL) leaves its subtree open: the search goes on, and the solve
     ends with that status instead of OPTIMAL or INFEASIBLE, with best_bound
     no higher than the open subtree's bound.
@@ -129,16 +132,17 @@ def solve_mip(mip: MipProblem, limits: SolveLimits | None = None) -> MipOutcome:
     unresolved = None  # status of the first node the search could not settle
     open_bound = math.inf  # lowest bound of a subtree left open
     nodes = iterations = counter = 0
-    heap = [(-math.inf, counter, base.lo, base.hi)]  # the root is the first node
+    # A node is (bound, counter, lo, hi, basis), basis its parent's optimal one.
+    heap = [(-math.inf, counter, base.lo, base.hi, base.basis)]  # the root is the first node
     while heap:
-        bound, _, lo, hi = heapq.heappop(heap)
+        bound, _, lo, hi, basis = heapq.heappop(heap)
         if bound >= incumbent_obj - 1e-9:
             continue  # pruned by the incumbent
         if nodes >= limits.max_nodes:
             unresolved = unresolved or Status.ITERATION_LIMIT
             open_bound = min(open_bound, bound)
             break
-        outcome = solve_lp(base.with_bounds(lo, hi), limits)
+        outcome = solve_lp(base.with_bounds(lo, hi, basis), limits)
         nodes += 1
         iterations += outcome.iterations
         if outcome.status is Status.UNBOUNDED:
@@ -166,7 +170,7 @@ def solve_mip(mip: MipProblem, limits: SolveLimits | None = None) -> MipOutcome:
             if child_lo[i] > child_hi[i]:
                 continue  # a fractional bound left this side no integer: infeasible
             counter += 1
-            heapq.heappush(heap, (value, counter, child_lo, child_hi))
+            heapq.heappush(heap, (value, counter, child_lo, child_hi, outcome.basis))
 
     if incumbent is None:
         return MipOutcome(

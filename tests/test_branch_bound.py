@@ -182,9 +182,21 @@ class TestSolve:
         n = 12
         weights = [rng.randint(3, 9) for _ in range(n)]
         values = [rng.randint(1, 9) for _ in range(n)]
-        mip = _binary_mip(values, [(list(map(float, weights)), "le", 20.0)], "max")
+        # At capacity 21 HiGHS gives the relaxation 37 and the knapsack 36,
+        # so every root vertex is fractional and one node cannot settle it.
+        mip = _binary_mip(values, [(list(map(float, weights)), "le", 21.0)], "max")
         out = solve_mip(mip, SolveLimits(max_nodes=1))
         assert out.status is Status.ITERATION_LIMIT
+        # At capacity 20 HiGHS gives 36 for both: items 1 and 10 tie at
+        # value/weight 1, so the root's optimal face holds the integral
+        # vertex as well as the fractional one HiGHS returns (x10 = 4/7).
+        # One node ends unresolved or, at the integral vertex, proves 36.
+        mip = _binary_mip(values, [(list(map(float, weights)), "le", 20.0)], "max")
+        out = solve_mip(mip, SolveLimits(max_nodes=1))
+        if out.status is not Status.ITERATION_LIMIT:
+            assert out.status is Status.OPTIMAL
+            assert out.objective_value == pytest.approx(36.0)
+            assert out.best_bound == pytest.approx(36.0)
 
     def test_objective_matches_solution_dot_product(self):
         rng = random.Random(99)
@@ -333,16 +345,17 @@ class TestUnresolvedNodes:
         assert out.status is Status.NUMERICAL
 
     def test_open_subtree_keeps_the_bound_open(self, monkeypatch):
-        # The a >= 2 child (third LP) fails; the a <= 1 subtree still finds
-        # a + b = 1, but the failed subtree's bound, the root value 1.5, stays
-        # in best_bound.
+        # The root's optimal face is a + b = 1.5 (HiGHS: 1.5), so the root
+        # may branch on a or on b. The up child, a >= 2 or b >= 2 (third
+        # LP), fails; the down subtree still finds a + b = 1, but the failed
+        # subtree's bound, the root value 1.5, stays in best_bound.
         original = branch_bound.solve_lp
         seen = []
 
         def third_call_numerical(lp, limits=None):
             seen.append(lp)
             if len(seen) == 3:
-                assert lp.lo[0] == 2.0
+                assert sorted(lp.lo) == [0.0, 2.0]
                 return LpOutcome(status=Status.NUMERICAL)
             return original(lp, limits)
 

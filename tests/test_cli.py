@@ -151,9 +151,10 @@ class TestSolve:
             "@sense,,le,\n"
             "@rhs,,1e308,\n"
         )
-        code, out, _ = _run(["solve", "--pft", str(path), "--deterministic"])
+        code, out, err = _run(["solve", "--pft", str(path), "--deterministic"])
         assert code == 1
         assert out.startswith("status: Numerical\n") and "objective" not in out
+        assert err == ""  # the overflow is the status, not an input warning
 
     def test_report_keeps_12_significant_digits(self, tmp_path):
         path = tmp_path / "large.pft.csv"

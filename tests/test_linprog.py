@@ -27,6 +27,17 @@ def _lp(objective, rows=(), bounds=None, direction="min"):
     return LinearProgram(objective, *blocks, lo, hi, direction)
 
 
+def _pmedian_lp():
+    """The p-median root LP over 10 points (distances random.Random(0)
+    integers 1-99), p = 2: its dual simplex takes 55 pivots."""
+    rng = random.Random(0)
+    d = np.zeros((10, 10))
+    for i, j in zip(*np.triu_indices(10, 1)):
+        d[i, j] = d[j, i] = rng.randint(1, 99)
+    ids = tuple(range(1, 11))
+    return build_service_coverage(DistanceMatrix(from_ids=ids, to_ids=ids, d=d), 2).base
+
+
 class TestStandardForm:
     def test_ge_row_is_negated(self):
         A_eq, b_eq, A_ub, b_ub = split_senses([[1.0, 1.0]], ["ge"], [3.0])
@@ -208,6 +219,74 @@ class TestPrimalCheck:
         monkeypatch.setattr(linprog, "_run_simplex", drifting)
         assert solve_lp(lp).status is Status.NUMERICAL
 
+
+class TestDualSimplex:
+    """Which start runs the dual simplex, and when the primal takes over."""
+
+    # min x1 + 2 x2 s.t. x1 + x2 >= 1, x >= 0: every cost is nonnegative, so
+    # the logical basis, each column at its lower bound, is dual feasible.
+    LP = LinearProgram([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+
+    def _primal_runs(self, monkeypatch):
+        calls = []
+        phase_1 = linprog._primal_phase_1
+
+        def counting(*args):
+            calls.append(args)
+            return phase_1(*args)
+
+        monkeypatch.setattr(linprog, "_primal_phase_1", counting)
+        return calls
+
+    def test_a_dual_feasible_start_runs_the_dual(self, monkeypatch):
+        calls = self._primal_runs(monkeypatch)
+        out = solve_lp(self.LP)
+        assert (out.status, out.objective_value, out.iterations) == (Status.OPTIMAL, 1.0, 1)
+        assert out.basis.tolist() == [0] and not calls
+
+    def test_a_start_that_is_not_dual_feasible_runs_the_primal(self, monkeypatch):
+        # With x2 basic, x1's reduced cost is -1 at its lower bound and its
+        # upper bound is infinite, so no placement is dual feasible.
+        calls = self._primal_runs(monkeypatch)
+        out = solve_lp(self.LP.with_bounds(self.LP.lo, self.LP.hi, [1]))
+        assert (out.status, out.objective_value) == (Status.OPTIMAL, 1.0)
+        assert len(calls) == 1
+
+    def test_a_singular_start_basis_runs_the_primal(self, monkeypatch):
+        lp = LinearProgram([1.0, 2.0], A_ub=[[-1.0, -1.0], [-2.0, -2.0]], b_ub=[-1.0, -2.0])
+        calls = self._primal_runs(monkeypatch)
+        out = solve_lp(lp.with_bounds(lp.lo, lp.hi, [0, 0]))
+        assert (out.status, out.objective_value) == (Status.OPTIMAL, 1.0)
+        assert len(calls) == 1
+
+    def test_an_infeasible_lp_carries_its_farkas_row(self):
+        # x1 + x2 >= 1 with x in [0, 0.25]^2: y = (1) gives -x1 - x2 + s = -1,
+        # whose least value over the bounds, -0.5, lies above -1.
+        out = solve_lp(self.LP.with_bounds([0.0, 0.0], [0.25, 0.25]))
+        assert out.status is Status.INFEASIBLE and out.x is None and out.basis is None
+        assert out.farkas.tolist() == [1.0]
+
+    def test_an_unproven_infeasible_is_solved_again_by_the_primal(self, monkeypatch):
+        # A dual that calls this feasible LP infeasible, with a row that
+        # proves nothing, is overruled by the primal.
+        def wrong(A, c, lo, hi, basis, x, Binv, limits, iteration):
+            return Status.INFEASIBLE, iteration, np.ones(A.shape[0])
+
+        monkeypatch.setattr(linprog, "_run_dual", wrong)
+        calls = self._primal_runs(monkeypatch)
+        out = solve_lp(self.LP)
+        assert (out.status, out.objective_value, out.farkas) == (Status.OPTIMAL, 1.0, None)
+        assert len(calls) == 1
+
+    def test_a_basis_is_a_start_for_other_bounds(self):
+        out = solve_lp(self.LP)
+        child = self.LP.with_bounds([0.0, 0.0], [0.5, math.inf], out.basis)
+        assert child.basis is out.basis and self.LP.basis is None
+        again = solve_lp(child)
+        assert (again.status, again.objective_value) == (Status.OPTIMAL, 1.5)
+        assert again.x.tolist() == [0.5, 0.5]
+
+
 class TestSmallProblems:
     def test_bounds_only_minimum_at_lower(self):
         out = solve_lp(_lp([1.0], bounds=[(2.0, 5.0)]))
@@ -334,12 +413,18 @@ class TestProperties:
         assert status is Status.OPTIMAL
         assert basis.tolist() == [0, 2]
 
-    # Covering LPs of tests/test_differential.py: seed 29 ends within 50
-    # pivots over 7 phase-1 rounds, seed 22 goes past 50 over 5 rounds.
-    @pytest.mark.parametrize("seed, factorisations", [(29, 0), (22, 1)])
-    def test_a_solve_factorises_once_per_50_pivots(self, seed, factorisations, monkeypatch):
+    @pytest.mark.parametrize("source, factorisations", [(29, 0), ("pmedian", 1), ("warm", 2)])
+    def test_a_solve_factorises_once_per_50_pivots(self, source, factorisations, monkeypatch):
+        """A covering LP of tests/test_differential.py (seed 29) ends within
+        50 dual pivots, and the p-median root LP past 50 (55), each from the
+        logical basis, whose inverse is I. A solve from another basis
+        ("warm") factorises it once more when it starts."""
         from test_differential import _covering_lp
 
+        lp = _covering_lp(source) if source == 29 else _pmedian_lp()
+        if source == "warm":
+            logical = lp.num_vars + np.arange(lp.working.shape[0])
+            lp = lp.with_bounds(lp.lo, lp.hi, logical)
         inv, calls = np.linalg.inv, []
 
         def counting(M):
@@ -347,26 +432,20 @@ class TestProperties:
             return inv(M)
 
         monkeypatch.setattr(np.linalg, "inv", counting)
-        out = solve_lp(_covering_lp(seed))
+        out = solve_lp(lp)
         assert out.status is Status.OPTIMAL
-        assert len(calls) == out.iterations // 50 == factorisations
+        assert len(calls) == (source == "warm") + out.iterations // 50 == factorisations
 
     def test_a_singular_refactorisation_is_numerical(self, monkeypatch):
-        """The p-median root LP (8 points, p = 3) takes 70 pivots, so the
-        refactorisation after pivot 50 runs; a singular basis there stops the
-        solve as NUMERICAL with no point."""
-        rng = random.Random(0)
-        d = np.zeros((8, 8))
-        for i, j in zip(*np.triu_indices(8, 1)):
-            d[i, j] = d[j, i] = rng.randint(1, 99)
-        ids = tuple(range(1, 9))
-        mip = build_service_coverage(DistanceMatrix(from_ids=ids, to_ids=ids, d=d), 3)
+        """The p-median root LP takes 55 pivots, so the refactorisation after
+        pivot 50 runs; a singular basis there stops the solve as NUMERICAL
+        with no point."""
 
         def singular(M):
             raise np.linalg.LinAlgError("singular matrix")
 
         monkeypatch.setattr(np.linalg, "inv", singular)
-        out = solve_lp(mip.base)
+        out = solve_lp(_pmedian_lp())
         assert (out.status, out.iterations, out.x) == (Status.NUMERICAL, 50, None)
 
     def test_random_feasible_lps_satisfy_constraints(self):
@@ -430,6 +509,12 @@ class TestArrayForm:
             LinearProgram([1.0, 2.0], lo=lo, hi=hi)
         with pytest.raises(MalformedProblemError):
             self._lp().with_bounds(lo, hi)
+
+    @pytest.mark.parametrize("basis", [[0], [0, 5], [0, -1], [0.0, 1.0]])
+    def test_with_bounds_rejects_a_malformed_basis(self, basis):
+        lp = self._lp()  # two rows, so four working-form columns
+        with pytest.raises(MalformedProblemError):
+            lp.with_bounds(lp.lo, lp.hi, basis)
 
     def test_with_bounds_rejects_wrong_length(self):
         with pytest.raises(MalformedProblemError):
