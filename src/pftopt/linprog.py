@@ -32,6 +32,26 @@ of y A x over the bounds exceeds y b by more than 1e-7 * max(1, |y b|),
 coefficients within 1e-9 of the largest counting as zero. A proven
 INFEASIBLE carries y (`LpOutcome.farkas`).
 
+Rows held back. A dual start holds back the inequality rows whose logical
+is basic in its basis (from the logical basis: every inequality row its
+start point meets) when they number at least four times the other rows, as
+a p-median LP's n^2 linking rows Y_ij <= X_j do; otherwise it holds none.
+The dual simplex then runs on the other rows, gathered from the working
+form, with each held row's logical fixed at 0; their B^-1 is I from the
+logical basis, else factorised. At each optimum of those rows, every held
+row that the point breaks by more than its row tolerance (below) is
+appended, its logical basic at the negative slack, and B^-1 grows
+blockwise to [[B^-1, 0], [-A_K,B B^-1, I]] for the appended rows K. Their
+duals are 0, so every reduced cost keeps its value and the dual simplex
+goes on from there, with no refactorisation and no pricing. Once no held
+row breaks, phase 2 confirms the point, once; if it pivots onto a point
+that breaks a held row, the primal solves the whole LP. The basis returned
+is the restricted basis plus the held rows' logicals, basic at their slack,
+so it starts a solve of the whole LP as any other basis does, and a proven
+INFEASIBLE's Farkas row is 0 on the rows still held. An unproven
+INFEASIBLE, and an unbounded ray of the restricted rows, go to the primal
+on every row too, and the final check below covers every row.
+
 The dual simplex takes out the basic variable that breaks its bound by the
 most, at that bound, and brings in the column whose reduced cost reaches
 zero first as the row of B^-1 A moves it (Dantzig's leaving row and the
@@ -65,11 +85,12 @@ objective value must be finite, else the status is NUMERICAL.
 OPTIMAL `LpOutcome.basis` is the final basis.
 
 A solve keeps one basis inverse through every loop and phase. It starts as
-I for the logical basis, or is factorised from the start basis, and is
-factorised afresh after every 50th pivot of the solve; every other pivot of
-either loop updates it with one rank-1 (product-form) correction in one
-shared step (`_pivot`), so a pivot costs matrix-vector products,
-O(m * (m + n)), rather than dense solves, O(m^3).
+I for the logical basis, or is factorised from the start basis, grows
+blockwise as held rows are appended, and is factorised afresh after every
+50th pivot of the solve; every other pivot of either loop updates it with
+one rank-1 (product-form) correction in one shared step (`_pivot`), so a
+pivot costs matrix-vector products, O(m * (m + n)), rather than dense
+solves, O(m^3).
 
 Primal pricing reads each column's moves off x and its bounds: a nonbasic
 column may rise while x < hi and fall while x > lo, and its violation is the
@@ -319,6 +340,11 @@ def split_senses(A, senses, b) -> tuple:
 _REFACTOR_EVERY = 50
 # A Farkas row's coefficient counts as zero within this share of its largest.
 _FARKAS_ZERO = 1e-9
+# Inequality rows are held back only when they outnumber the other rows by
+# this factor: a p-median LP's linking rows do (about 14 to 1), a lifted-MTZ
+# tour's rows do not (at most 2.1 to 1), and holding rows there slowed its
+# root LPs.
+_HOLD_RATIO = 4
 
 
 def _violations(d, x, lo, hi, basis) -> np.ndarray:
@@ -532,32 +558,142 @@ def _resting_point(lo, hi) -> np.ndarray:
     return np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
 
 
-def _dual_start(A, b, c, lo, hi, basis):
+def _wanted_point(d, lo, hi) -> np.ndarray:
+    """Each column at the bound its reduced cost d_j wants: the upper one if
+    d_j < -_OPTIMALITY_TOL, else the lower one; where that bound is
+    infinite, at its other bound, or 0 if free."""
+    return np.where((d < -_OPTIMALITY_TOL) & np.isfinite(hi), hi, _resting_point(lo, hi))
+
+
+def _dual_start(A, b, c, lo, hi, basis, Binv):
     """(basis, x, Binv) of a dual feasible start from `basis`, or None.
 
-    basis None is the logical basis, whose inverse is I; any other is
-    factorised afresh. Each nonbasic column sits at the bound its reduced
-    cost d_j wants: the upper one if d_j < -_OPTIMALITY_TOL, else the lower
-    one; where that bound is infinite, at its other bound, or 0 if free. The
-    start is dual feasible when no column's move then improves c.x by more
-    than _OPTIMALITY_TOL. None for a singular basis or one not dual feasible.
+    Binv is the basis's inverse, I for a logical basis, or None to factorise
+    it afresh. Each nonbasic column sits at the bound its reduced cost wants
+    (`_wanted_point`). The start is dual feasible when no column's move then
+    improves c.x by more than _OPTIMALITY_TOL. None for a singular basis or
+    one not dual feasible.
     """
-    m, n_total = A.shape
-    if basis is None:
-        basis, Binv = n_total - m + np.arange(m), np.eye(m)
-    else:
-        basis = np.array(basis)
+    if Binv is None:
         try:
             Binv = np.linalg.inv(A[:, basis])
         except np.linalg.LinAlgError:
             return None
     d = c - (c[basis] @ Binv) @ A
-    x = np.where((d < -_OPTIMALITY_TOL) & np.isfinite(hi), hi, _resting_point(lo, hi))
+    x = _wanted_point(d, lo, hi)
     if (_violations(d, x, lo, hi, basis) > _OPTIMALITY_TOL).any():
         return None
     x[basis] = 0.0
     x[basis] = Binv @ (b - A @ x)
     return basis, x, Binv
+
+
+def _held_rows(A, b, c, lo, hi, basis, m_eq) -> np.ndarray | None:
+    """The inequality rows a solve from `basis` (None for the logical one)
+    holds back: those whose logical is basic in it, less, from the logical
+    basis, every row that basis's start point breaks. None unless there are
+    some, and at least _HOLD_RATIO times as many as the other rows. (A basis
+    that repeats a logical repeats its row here; such a basis is singular,
+    and its start fails as any singular start does.)"""
+    m, n_total = A.shape
+    n = n_total - m
+    if m - m_eq < _HOLD_RATIO * m_eq:
+        return None  # too few inequality rows, were every one held
+    if basis is None:  # the logical basis, at which the reduced costs are c
+        x = _wanted_point(c[:n], lo[:n], hi[:n])
+        held = m_eq + np.flatnonzero(A[m_eq:, :n] @ x <= b[m_eq:])
+    else:
+        held = basis[basis >= n + m_eq] - n
+    if not held.size or held.size < _HOLD_RATIO * (m - held.size):
+        return None
+    return held
+
+
+def _broken_rows(A, b, x, held) -> np.ndarray:
+    """The rows of the mask `held` whose A_i x exceeds b_i by more than
+    their `_row_tol`."""
+    excess = A @ x - b
+    rows = np.flatnonzero(held & (excess > _FEASIBILITY_TOL))  # no _row_tol is smaller
+    if not rows.size:
+        return rows
+    return rows[excess[rows] > _row_tol(A[rows], b[rows], x)]
+
+
+def _solve_dual(A, b, c, lo, hi, basis, limits):
+    """(status, iterations, basis, x, y) of the dual simplex from `basis`
+    (None for the logical one), and of phase 2's confirmation of its point.
+    y is the Farkas row at INFEASIBLE. The status is None when the start is
+    singular or not dual feasible."""
+    m, n_total = A.shape
+    if basis is None:
+        basis, Binv = n_total - m + np.arange(m), np.eye(m)
+    else:
+        basis, Binv = np.array(basis), None
+    start = _dual_start(A, b, c, lo, hi, basis, Binv)
+    if start is None:
+        return None, 0, None, None, None
+    basis, x, Binv = start
+    status, iters, y = _run_dual(A, c, lo, hi, basis, x, Binv, limits, 0)
+    if status is Status.OPTIMAL:
+        status, iters = _run_simplex(A, c, lo, hi, basis, x, Binv, limits, iters)
+    return status, iters, basis, x, y
+
+
+def _solve_restricted(A, b, c, lo, hi, basis, held, limits):
+    """`_solve_dual` from `basis` (None for the logical one) with the rows
+    `held` held back, as the module docstring says: basis, x and y are of
+    the whole working form. The status is None also when the restricted LP
+    has an unbounded ray, or phase 2 moved its point off a held row."""
+    m, n_total = A.shape
+    n = n_total - m
+    fixed = np.zeros(n_total, dtype=bool)  # the held rows' logicals, which rest at 0
+    fixed[n + held] = True
+    active = np.flatnonzero(~fixed[n:])
+    hi = np.where(fixed, 0.0, hi)
+    if basis is None:
+        basis, Binv = n + active, np.eye(active.size)
+    else:
+        basis, Binv = basis[~fixed[basis]], None
+    rows_r = np.empty((m, n_total))  # the restricted rows, held ones appended as they break
+    rows_r[:active.size] = A[active]
+    start = _dual_start(rows_r[:active.size], b[active], c, lo, hi, basis, Binv)
+    if start is None:
+        return None, 0, None, None, None
+    basis, x, Binv = start
+    iters, rows = 0, _broken_rows(A, b, x, fixed[n:])
+    while True:
+        size, k = basis.size, rows.size
+        if k:  # each added row's logical enters the basis at its negative slack
+            new = rows_r[size:size + k]
+            np.take(A, rows, axis=0, out=new)
+            grown = np.eye(size + k)  # [[B^-1, 0], [-A_K,B B^-1, I]]
+            grown[:size, :size] = Binv
+            grown[size:, :size] = -(new[:, basis] @ Binv)
+            Binv, logicals = grown, n + rows
+            basis = np.concatenate([basis, logicals])
+            active = np.concatenate([active, rows])
+            fixed[logicals], hi[logicals] = False, math.inf
+            x[logicals] = b[rows] - new @ x
+        A_r = rows_r[:size + k]
+        status, iters, y = _run_dual(A_r, c, lo, hi, basis, x, Binv, limits, iters)
+        if status is not Status.OPTIMAL:
+            break
+        rows = _broken_rows(A, b, x, fixed[n:])
+        if not rows.size:
+            break
+    if status is Status.OPTIMAL:
+        dual_iters = iters
+        status, iters = _run_simplex(A_r, c, lo, hi, basis, x, Binv, limits, iters)
+        moved = status is Status.OPTIMAL and iters > dual_iters
+        if status is Status.UNBOUNDED or moved and _broken_rows(A, b, x, fixed[n:]).size:
+            return None, iters, None, None, None
+    held = np.flatnonzero(fixed[n:])
+    if status is Status.INFEASIBLE:  # y is 0 on the rows still held
+        padded = np.zeros(m)
+        padded[active] = y
+        y = padded
+    x[n + held] = np.maximum(b[held] - A[held] @ x, 0.0)  # held logicals basic at their slack
+    return status, iters, np.concatenate([basis, n + held]), x, y
 
 
 def _primal_phase_1(A, b, lo, hi, m_eq, limits, iters):
@@ -600,9 +736,10 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     infeasibility or unboundedness).
 
     The solve starts from `lp.basis` (the logical basis if None). If that
-    start is dual feasible the dual simplex runs, else the primal's two
-    phases from the logical basis; an INFEASIBLE from the dual that its
-    Farkas row does not prove is solved again by the primal.
+    start is dual feasible the dual simplex runs, on the rows that bind when
+    it holds rows back, else the primal's two phases from the logical basis;
+    an INFEASIBLE from the dual that its Farkas row does not prove is solved
+    again by the primal.
 
     When the optimum is not unique, one optimal basic solution is returned;
     which of the tied vertices that is stays unspecified.
@@ -615,17 +752,19 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     hi = np.concatenate([lp.hi, np.where(np.arange(m) < m_eq, 0.0, math.inf)])
     c = np.concatenate([-lp.c if lp.direction == "max" else lp.c, np.zeros(m)])
 
-    start = _dual_start(A, b, c, lo, hi, lp.basis)
-    iters = 0
-    if start is not None:
-        basis, x, Binv = start
-        status, iters, y = _run_dual(A, c, lo, hi, basis, x, Binv, limits, 0)
-        if status is Status.INFEASIBLE and _farkas_holds(A, b, lo, hi, y):
+    held = _held_rows(A, b, c, lo, hi, lp.basis, m_eq)
+    if held is not None:
+        status, iters, basis, x, y = _solve_restricted(A, b, c, lo, hi, lp.basis, held, limits)
+    else:
+        status, iters, basis, x, y = _solve_dual(A, b, c, lo, hi, lp.basis, limits)
+    if status is Status.INFEASIBLE:
+        if _farkas_holds(A, b, lo, hi, y):
             return LpOutcome(status=status, iterations=iters, farkas=y)
-    if start is None or status is Status.INFEASIBLE:  # unproven: the primal decides
+        status = None  # unproven: the primal decides
+    if status is None:
         status, iters, basis, x, Binv = _primal_phase_1(A, b, lo, hi, m_eq, limits, iters)
-    if status is Status.OPTIMAL:
-        status, iters = _run_simplex(A, c, lo, hi, basis, x, Binv, limits, iters)
+        if status is Status.OPTIMAL:
+            status, iters = _run_simplex(A, c, lo, hi, basis, x, Binv, limits, iters)
     scale = float(np.abs(b).max(initial=1.0))
     if status is Status.OPTIMAL and not _primal_feasible(A, b, lo, hi, x, scale):
         status = Status.NUMERICAL

@@ -198,9 +198,19 @@ def parse_pft(text: str) -> Pft:
         seen.add(name)
         names.append(name)
         kinds.append(kind)
-        numbers += [
-            _parse_cell(cell, line_no, 3 + j) for j, cell in enumerate(row[2 : obj_pos + 1])
-        ]
+        # The row's numbers in one pass: float strips whitespace as
+        # _parse_cell does. A cell float cannot read, or a sum that is not
+        # finite (a nan or inf cell, or finite cells whose sum overflows),
+        # sends the row cell by cell through _parse_cell, which reports the
+        # first bad cell.
+        cells = row[2 : obj_pos + 1]
+        try:
+            values = [float(cell) if cell else 0.0 for cell in cells]
+        except ValueError:
+            values = None
+        if values is None or not math.isfinite(sum(values)):
+            values = [_parse_cell(cell, line_no, 3 + j) for j, cell in enumerate(cells)]
+        numbers += values
         lb_cell, ub_cell = row[-2:] if has_bounds else ("", "")
         if kind is VarKind.BINARY and (lb_cell.strip() or ub_cell.strip()):
             raise PftParseError(

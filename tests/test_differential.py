@@ -7,6 +7,7 @@ fixed example budget, so every run checks the same problems.
 import itertools
 import math
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -200,14 +201,11 @@ def tightened_lps(draw):
     return (c, A, senses, b, lo, hi, draw(st.sampled_from(["min", "max"]))), steps
 
 
-@ORACLE
-@given(tightened_lps())
-def test_warm_resolves_after_a_tightened_bound_match_highs(case):
-    """Each re-solve starts from the last optimal basis, as a branch-and-bound
-    child starts from its parent's, and must agree with HiGHS; every
-    INFEASIBLE it reports carries a Farkas row that checks."""
-    problem, steps = case
-    lp = _linear_program(*problem)
+def _resolve_tightened(lp, steps):
+    """Solve lp, then re-solve it after each bound change of `steps` (see
+    `tightened_lps`) from the last optimal basis, as a branch-and-bound child
+    starts from its parent's. Every solve must agree with HiGHS, and every
+    INFEASIBLE carry a Farkas row that checks."""
     out = solve_lp(lp)
     _assert_same_answer(out, *_highs_lp(lp))
     for j, upper, amount in steps:
@@ -226,6 +224,13 @@ def test_warm_resolves_after_a_tightened_bound_match_highs(case):
         _assert_same_answer(out, *_highs_lp(lp))
         if out.status is Status.INFEASIBLE:
             _assert_farkas(lp, out.farkas)
+
+
+@ORACLE
+@given(tightened_lps())
+def test_warm_resolves_after_a_tightened_bound_match_highs(case):
+    problem, steps = case
+    _resolve_tightened(_linear_program(*problem), steps)
 
 
 def test_a_child_a_bound_flipping_ratio_test_pruned_is_optimal():
@@ -429,3 +434,147 @@ def test_coloring_pair_rows_in_sorted_index_order(areas, pairs):
     reference = sorted(sorted(index[a] for a in p) for p in adj.pairs)
     rows = models.build_coloring(adj, 1).base.A_ub
     assert [np.flatnonzero(row).tolist() for row in rows] == reference
+
+
+def _held_back(lp):
+    """(outcome, number of solves that held rows back) of solve_lp(lp)."""
+    with mock.patch.object(linprog_module, "_solve_restricted",
+                           wraps=linprog_module._solve_restricted) as restricted:
+        out = solve_lp(lp)
+    return out, restricted.call_count
+
+
+@st.composite
+def redundant_row_lps(draw):
+    """An LP whose `<=` rows x = 0 meets outnumber its other rows at least
+    four to one, so they are held back: 1-3 rows that x = 0 breaks (an
+    equality or a `>=` row with a positive rhs), then 4-10 times as many
+    `<=` rows with a rhs of 0-20, many of them redundant. Costs are
+    nonnegative (negated under max), so x = 0 is a dual feasible start."""
+    n = draw(st.integers(2, 8))
+    c = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=float)
+    k = draw(st.integers(1, 3))
+    m = k + draw(st.integers(4 * k, 10 * k))
+    A = np.array([draw(st.lists(COEFFICIENT, min_size=n, max_size=n)) for _ in range(m)],
+                 dtype=float)
+    A[:k] = np.abs(A[:k])
+    A[np.arange(k), draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))] += 1.0
+    senses = [draw(st.sampled_from(["eq", "ge"])) for _ in range(k)] + ["le"] * (m - k)
+    b = np.array([draw(st.integers(1, 10)) for _ in range(k)]
+                 + [draw(st.integers(0, 20)) for _ in range(m - k)], dtype=float)
+    hi = np.array([draw(st.sampled_from([2.0, 6.0, math.inf])) for _ in range(n)])
+    direction = draw(st.sampled_from(["min", "max"]))
+    c = -c if direction == "max" else c
+    return c, A, senses, b, np.zeros(n), hi, direction
+
+
+@ORACLE
+@given(redundant_row_lps())
+def test_lps_with_many_redundant_rows_match_highs(problem):
+    lp = _linear_program(*problem)
+    out, held_back = _held_back(lp)
+    assert held_back == 1
+    _assert_same_answer(out, *_highs_lp(lp))
+    if out.status is Status.INFEASIBLE:
+        _assert_farkas(lp, out.farkas)
+
+
+def test_an_infeasibility_a_held_row_proves_carries_a_padded_farkas_row():
+    """min x1 + x2 s.t. x1 + x2 >= 2, x1 <= 0.5, x2 <= 0.5 and three rows
+    that never bind. The last five rows are held back; the restricted
+    optimum breaks x1 <= 0.5, then x2 <= 0.5, and only with both is the LP
+    infeasible. The Farkas row is zero on the three rows still held."""
+    A = np.array([[1, 1], [1, 0], [0, 1], [1, 1], [1, -1], [-1, 1]], dtype=float)
+    lp = _linear_program(np.array([1.0, 1.0]), A, ["ge"] + ["le"] * 5,
+                         np.array([2, 0.5, 0.5, 5, 3, 3]), None, None, "min")
+    assert _highs_lp(lp)[0] is Status.INFEASIBLE
+    out, held_back = _held_back(lp)
+    assert (out.status, held_back) == (Status.INFEASIBLE, 1)
+    assert out.farkas[3:].tolist() == [0.0, 0.0, 0.0] and (out.farkas[:3] != 0.0).all()
+    _assert_farkas(lp, out.farkas)
+
+
+def _service_lp(n, p, seed):
+    """The service-coverage (p-median) model over n <= 26 random points on a
+    100 x 100 grid, distances rounded. The ids are letters, whose variable
+    names cannot collide."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 100, (n, 2))
+    d = np.round(np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1)))
+    ids = tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:n])
+    return models.build_service_coverage(models.DistanceMatrix(from_ids=ids, to_ids=ids, d=d), p)
+
+
+@ORACLE
+@given(redundant_row_lps(), st.lists(
+    st.tuples(st.integers(0, 7), st.booleans(), st.sampled_from([0.5, 1.0, 2.5, 6.0])),
+    min_size=1, max_size=3))
+def test_warm_children_that_hold_rows_match_highs(problem, steps):
+    """Children of LPs that hold rows back, whose start bases hold them back
+    too when their slack rows still outnumber the others four to one."""
+    n = problem[0].size
+    _resolve_tightened(_linear_program(*problem), [(j % n, up, by) for j, up, by in steps])
+
+
+def test_a_warm_child_holds_its_parents_slack_rows():
+    """min x1 + x2 s.t. x1 + x2 >= 1 and x1 <= 2, 3, 4, 5: the root ends with
+    x1 basic in the first row and the four slack rows' logicals basic, so
+    the child x1 <= 0.5 started from that basis holds them back again."""
+    A = np.array([[1, 1], [1, 0], [1, 0], [1, 0], [1, 0]], dtype=float)
+    lp = _linear_program(np.array([1.0, 1.0]), A, ["ge"] + ["le"] * 4,
+                         np.array([1, 2, 3, 4, 5.0]), None, None, "min")
+    root = solve_lp(lp)
+    child = lp.with_bounds(lp.lo, [0.5, math.inf], root.basis)
+    out, held_back = _held_back(child)
+    assert held_back == 1
+    _assert_same_answer(out, *_highs_lp(child))
+    assert out.x.tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_children_of_a_service_root_that_held_rows_match_highs(seed):
+    """Children of a 14-point service model's root, each from its parent's
+    basis, that close or open one site after another, as branching on the
+    site variables does. The root holds its linking rows back, and the
+    basis it returns (the held rows' logicals basic) starts each child; an
+    infeasible child (more sites closed than n - p allows) carries a Farkas
+    row that checks."""
+    lp = _service_lp(14, 4, seed).base
+    sites = np.arange(lp.num_vars - 14, lp.num_vars)
+    out, held_back = _held_back(lp)
+    assert held_back == 1
+    for site in np.random.default_rng(seed).permutation(sites)[:12]:
+        if out.status is not Status.OPTIMAL:
+            break
+        lo, hi = lp.lo.copy(), lp.hi.copy()
+        if out.x[site] > 0.5:
+            hi[site] = 0.0
+        else:
+            lo[site] = 1.0
+        lp = lp.with_bounds(lo, hi, out.basis)
+        out = solve_lp(lp)
+        _assert_same_answer(out, *_highs_lp(lp))
+        if out.status is Status.INFEASIBLE:
+            _assert_farkas(lp, out.farkas)
+
+
+@pytest.mark.parametrize("n, p, seed", [(9, 2, 0), (10, 3, 1), (12, 3, 2), (12, 4, 3)])
+def test_a_mip_whose_restricted_point_breaks_a_held_row_matches_highs(n, p, seed):
+    """At its first restricted optimum a p-median root serves every point
+    from itself at cost 0: an integral point that breaks the held linking
+    rows Y_ij <= X_j. Taken as the root's point, it would be the incumbent,
+    at 0. The whole search must instead agree with HiGHS."""
+    mip = _service_lp(n, p, seed)
+    rounds = []
+    run_dual = linprog_module._run_dual
+
+    def counting(A, *args):
+        rounds.append(A.shape[0])
+        return run_dual(A, *args)
+
+    with mock.patch.object(linprog_module, "_run_dual", counting):
+        root = solve_lp(mip.base)
+    assert root.status is Status.OPTIMAL and root.objective_value > 0 and len(rounds) > 1
+    status, objective = _highs_mip(mip.base, [VarKind.INTEGER] * mip.num_vars)
+    assert objective > 0
+    _assert_same_answer(solve_mip(mip), status, objective)

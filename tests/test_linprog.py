@@ -29,13 +29,27 @@ def _lp(objective, rows=(), bounds=None, direction="min"):
 
 def _pmedian_lp():
     """The p-median root LP over 10 points (distances random.Random(0)
-    integers 1-99), p = 2: its dual simplex takes 55 pivots."""
+    integers 1-99), p = 2. Its 100 linking rows are held back, and the dual
+    simplex on the rows that bind takes 56 pivots."""
     rng = random.Random(0)
     d = np.zeros((10, 10))
     for i, j in zip(*np.triu_indices(10, 1)):
         d[i, j] = d[j, i] = rng.randint(1, 99)
     ids = tuple(range(1, 11))
     return build_service_coverage(DistanceMatrix(from_ids=ids, to_ids=ids, d=d), 2).base
+
+
+def _recorded(monkeypatch, name):
+    """The arguments of every later call of linprog.<name>, which still runs."""
+    calls = []
+    original = getattr(linprog, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linprog, name, recording)
+    return calls
 
 
 class TestStandardForm:
@@ -228,15 +242,7 @@ class TestDualSimplex:
     LP = LinearProgram([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
 
     def _primal_runs(self, monkeypatch):
-        calls = []
-        phase_1 = linprog._primal_phase_1
-
-        def counting(*args):
-            calls.append(args)
-            return phase_1(*args)
-
-        monkeypatch.setattr(linprog, "_primal_phase_1", counting)
-        return calls
+        return _recorded(monkeypatch, "_primal_phase_1")
 
     def test_a_dual_feasible_start_runs_the_dual(self, monkeypatch):
         calls = self._primal_runs(monkeypatch)
@@ -285,6 +291,90 @@ class TestDualSimplex:
         again = solve_lp(child)
         assert (again.status, again.objective_value) == (Status.OPTIMAL, 1.5)
         assert again.x.tolist() == [0.5, 0.5]
+
+
+class TestRowActivation:
+    """Which solves hold inequality rows back, and what they return."""
+
+    def _restricted_runs(self, monkeypatch):
+        return _recorded(monkeypatch, "_solve_restricted")
+
+    @staticmethod
+    def _box_lp(caps):
+        """min x1 + x2 s.t. x1 + x2 >= 1 and x1 <= cap for each cap: x = 0
+        breaks the first row and meets the others."""
+        rows = [([1.0, 1.0], "ge", 1.0)] + [([1.0, 0.0], "le", cap) for cap in caps]
+        return _lp([1.0, 1.0], rows=rows)
+
+    def test_rows_are_held_at_four_to_one(self, monkeypatch):
+        calls = self._restricted_runs(monkeypatch)
+        out = solve_lp(self._box_lp([2.0, 3.0, 4.0, 5.0]))
+        assert [held.tolist() for *_, held, _ in calls] == [[1, 2, 3, 4]]
+        assert (out.status, out.objective_value, out.x.tolist()) == (Status.OPTIMAL, 1.0, [1.0, 0.0])
+
+    def test_fewer_rows_than_four_to_one_are_not_held(self, monkeypatch):
+        calls = self._restricted_runs(monkeypatch)
+        out = solve_lp(self._box_lp([2.0, 3.0, 4.0]))
+        assert not calls and (out.status, out.objective_value) == (Status.OPTIMAL, 1.0)
+
+    def test_no_tour_lp_holds_rows(self, monkeypatch):
+        """A lifted-MTZ tour has too few inequality rows against its degree
+        rows, at the root and at every node."""
+        from pftopt.branch_bound import solve_mip
+        from pftopt.models import build_tour
+
+        rng = random.Random(3)
+        d = np.zeros((7, 7))
+        for i, j in zip(*np.triu_indices(7, 1)):
+            d[i, j] = d[j, i] = rng.randint(1, 99)
+        ids = tuple(range(1, 8))
+        calls = self._restricted_runs(monkeypatch)
+        out = solve_mip(build_tour(DistanceMatrix(from_ids=ids, to_ids=ids, d=d)))
+        assert out.status is Status.OPTIMAL and out.nodes_explored > 1 and not calls
+
+    def test_a_start_basis_repeating_a_held_logical_runs_the_primal(self, monkeypatch):
+        lp = self._box_lp([2.0, 3.0, 4.0, 5.0])
+        calls = self._restricted_runs(monkeypatch)
+        primal = _recorded(monkeypatch, "_primal_phase_1")
+        out = solve_lp(lp.with_bounds(lp.lo, lp.hi, [3, 3, 4, 5, 6]))
+        assert (out.status, out.objective_value) == (Status.OPTIMAL, 1.0)
+        assert len(calls) == len(primal) == 1
+
+    def test_a_broken_held_row_is_added(self):
+        # x1 <= 0.25 breaks at the restricted optimum x = (1, 0), so it joins
+        # the rows, and the optimum moves to (0.25, 0.75).
+        out = solve_lp(self._box_lp([0.25, 3.0, 4.0, 5.0]))
+        assert out.status is Status.OPTIMAL
+        assert out.x.tolist() == [0.25, 0.75]
+
+    def test_the_basis_returned_starts_the_whole_lp(self):
+        """The restricted basis plus the held rows' logicals: a basis of the
+        whole working form, at which the re-solve makes no pivot."""
+        lp = _pmedian_lp()
+        out = solve_lp(lp)
+        m = lp.working.shape[0]
+        assert np.unique(out.basis).size == out.basis.size == m
+        assert np.linalg.matrix_rank(lp.working[:, out.basis]) == m
+        again = solve_lp(lp.with_bounds(lp.lo, lp.hi, out.basis))
+        assert (again.status, again.iterations) == (Status.OPTIMAL, 0)
+        assert again.objective_value == out.objective_value
+
+    def test_phase_2_moving_off_a_held_row_leaves_it_to_the_primal(self, monkeypatch):
+        """If phase 2's confirmation pivots and the point it reaches breaks a
+        held row, the primal solves the whole LP."""
+        run = linprog._run_simplex
+        moved = []
+
+        def moving(A, c, lo, hi, basis, x, Binv, limits, iteration):
+            if not moved:
+                moved.append(True)
+                x[0] = 6.0  # breaks every held row x1 <= cap
+                return Status.OPTIMAL, iteration + 1
+            return run(A, c, lo, hi, basis, x, Binv, limits, iteration)
+
+        monkeypatch.setattr(linprog, "_run_simplex", moving)
+        out = solve_lp(self._box_lp([2.0, 3.0, 4.0, 5.0]))
+        assert (out.status, out.objective_value) == (Status.OPTIMAL, 1.0)
 
 
 class TestSmallProblems:
@@ -416,9 +506,10 @@ class TestProperties:
     @pytest.mark.parametrize("source, factorisations", [(29, 0), ("pmedian", 1), ("warm", 2)])
     def test_a_solve_factorises_once_per_50_pivots(self, source, factorisations, monkeypatch):
         """A covering LP of tests/test_differential.py (seed 29) ends within
-        50 dual pivots, and the p-median root LP past 50 (55), each from the
-        logical basis, whose inverse is I. A solve from another basis
-        ("warm") factorises it once more when it starts."""
+        50 dual pivots, and the p-median root LP past 50 (56), each from the
+        logical basis, whose inverse is I; the p-median rows added as they
+        break extend that inverse without a factorisation. A solve from
+        another basis ("warm") factorises it once more when it starts."""
         from test_differential import _covering_lp
 
         lp = _covering_lp(source) if source == 29 else _pmedian_lp()
@@ -437,7 +528,7 @@ class TestProperties:
         assert len(calls) == (source == "warm") + out.iterations // 50 == factorisations
 
     def test_a_singular_refactorisation_is_numerical(self, monkeypatch):
-        """The p-median root LP takes 55 pivots, so the refactorisation after
+        """The p-median root LP takes 56 pivots, so the refactorisation after
         pivot 50 runs; a singular basis there stops the solve as NUMERICAL
         with no point."""
 

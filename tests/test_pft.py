@@ -120,6 +120,16 @@ class TestParse:
             parse_pft(BOUNDED.format(row="x1,C,abc,nan,,"))
         assert (err.value.line, err.value.column) == (3, 3)
 
+    def test_finite_cells_whose_sum_overflows_parse(self):
+        # 1e308 + 1e308 is inf, yet each cell is a finite number.
+        table = parse_pft(BOUNDED.format(row="x1,C,1e308,1e308,,"))
+        assert (table.A[0].tolist(), table.c.tolist()) == ([1e308], [1e308])
+
+    @pytest.mark.parametrize("cell", [" 2 ", "\t2", "  "], ids=["spaces", "tab", "blank"])
+    def test_cells_read_as_stripped(self, cell):
+        table = parse_pft(BOUNDED.format(row=f"x1,C,{cell},3,,"))
+        assert table.A[0].tolist() == [0.0 if cell.isspace() else 2.0]
+
     def test_tag_lines_may_come_first(self):
         text = "#PFT v1 dir=max title=two crops\nvar,kind,land,obj\n@rhs,,10,\n@sense,,le,\n"
         assert parse_pft(text + "x1,C,1,3\nx2,C,1,2\n") == parse_pft(SIMPLE)
