@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass, fields
@@ -166,7 +167,9 @@ def parse_pft(text: str) -> Pft:
 
     names: list[str] = []
     kinds: list[VarKind] = []
-    numbers: list[float] = []  # row-major: k coefficients, then the objective
+    numbers: list[float] = []  # the non-empty cells of the variable rows
+    at: list[int] = []  # where each lies in the row-major n x (k + 1) block
+    columns = range(k + 1)
     lo: list[float] = []
     hi: list[float] = []
     tagged: dict[str, list] = {}  # "@sense"/"@rhs" -> the line's k cells, read
@@ -198,18 +201,22 @@ def parse_pft(text: str) -> Pft:
         seen.add(name)
         names.append(name)
         kinds.append(kind)
-        # The row's numbers in one pass: float strips whitespace as
-        # _parse_cell does. A cell float cannot read, or a sum that is not
-        # finite (a nan or inf cell, or finite cells whose sum overflows),
-        # sends the row cell by cell through _parse_cell, which reports the
-        # first bad cell.
+        # The row's numbers in one pass over its non-empty cells: float
+        # strips whitespace as _parse_cell does. A cell float cannot read
+        # (a whitespace-only one too), or a sum that is not finite (a nan or
+        # inf cell, or finite cells whose sum overflows), sends the whole row
+        # cell by cell through _parse_cell, which reports the first bad cell.
         cells = row[2 : obj_pos + 1]
+        filled = list(itertools.compress(columns, cells))
         try:
-            values = [float(cell) if cell else 0.0 for cell in cells]
+            values = [float(cells[j]) for j in filled]
         except ValueError:
             values = None
         if values is None or not math.isfinite(sum(values)):
             values = [_parse_cell(cell, line_no, 3 + j) for j, cell in enumerate(cells)]
+            filled = columns
+        offset = (len(names) - 1) * (k + 1)
+        at += [offset + j for j in filled]
         numbers += values
         lb_cell, ub_cell = row[-2:] if has_bounds else ("", "")
         if kind is VarKind.BINARY and (lb_cell.strip() or ub_cell.strip()):
@@ -225,7 +232,9 @@ def parse_pft(text: str) -> Pft:
     for tag in _TAGS:
         if k and tag not in tagged:
             raise PftParseError(f"missing {tag} line", len(lines))
-    block = np.array(numbers, dtype=float).reshape(n, k + 1)
+    block = np.zeros(n * (k + 1))  # per row: k coefficients, then the objective
+    block[at] = numbers
+    block = block.reshape(n, k + 1)
     return Pft(
         title=title,
         direction=direction,

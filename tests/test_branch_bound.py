@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -345,25 +346,180 @@ class TestUnresolvedNodes:
         assert out.status is Status.NUMERICAL
 
     def test_open_subtree_keeps_the_bound_open(self, monkeypatch):
-        # The root's optimal face is a + b = 1.5 (HiGHS: 1.5), so the root
-        # may branch on a or on b. The up child, a >= 2 or b >= 2 (third
-        # LP), fails; the down subtree still finds a + b = 1, but the failed
-        # subtree's bound, the root value 1.5, stays in best_bound.
+        # max 1.5a + b s.t. 2a + 2b <= 6.5, integers a, b in [0, 3]: the
+        # root is a = 3, b = 0.25 (value 4.75), so it branches on b. The
+        # down child b <= 0 finds a = 3 (4.5, the optimum). The up child
+        # b >= 1 survives propagation, which leaves it a <= 2, and its LP
+        # fails; its subtree's bound, the root value 4.75, stays in
+        # best_bound. The objective is not integral, so 4.75 is not raised.
+        mip = _mip(
+            [1.5, 1.0],
+            [([2.0, 2.0], "le", 6.5)],
+            [(0.0, 3.0)] * 2,
+            [VarKind.INTEGER] * 2,
+            "max",
+        )
         original = branch_bound.solve_lp
-        seen = []
+        failed = []
 
-        def third_call_numerical(lp, limits=None):
-            seen.append(lp)
-            if len(seen) == 3:
-                assert sorted(lp.lo) == [0.0, 2.0]
+        def up_child_numerical(lp, limits=None):
+            if lp.lo[1] >= 1.0:
+                failed.append(lp)
                 return LpOutcome(status=Status.NUMERICAL)
             return original(lp, limits)
 
-        monkeypatch.setattr(branch_bound, "solve_lp", third_call_numerical)
-        out = solve_mip(_two_integer_probe())
+        monkeypatch.setattr(branch_bound, "solve_lp", up_child_numerical)
+        out = solve_mip(mip)
+        assert len(failed) == 1
+        assert failed[0].lo.tolist() == [0.0, 1.0] and failed[0].hi.tolist() == [2.0, 3.0]
         assert out.status is Status.NUMERICAL
+        assert out.objective_value == pytest.approx(4.5)
+        assert out.best_bound == pytest.approx(4.75)
+
+
+class TestPropagation:
+    def test_a_child_propagation_settles_makes_no_lp(self, monkeypatch):
+        # The root of max a + b s.t. 2a + 2b <= 3 branches on a or b at 1.5;
+        # the up child (>= 2) leaves the row a least activity of 4 > 3.
+        calls = _record_node_lps(monkeypatch)
+        out = solve_mip(_two_integer_probe())
+        assert out.status is Status.OPTIMAL
         assert out.objective_value == pytest.approx(1.0)
-        assert out.best_bound == pytest.approx(1.5)
+        assert all(lp.lo.max() < 2.0 for lp, _ in calls)
+        assert len(calls) == out.nodes_explored
+
+    def test_a_child_inherits_its_tightened_bounds(self, monkeypatch):
+        # A child LP of a 5-city tour has more bounds moved than the one its
+        # branch set: the degree rows of the branched arc fix the arcs that
+        # share its tail or head. Every bound stays integral and in the root box.
+        rng = random.Random(2)
+        n = 5
+        d = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = float(rng.randint(1, 30))
+        ids = tuple(range(1, n + 1))
+        mip = models.build_tour(models.DistanceMatrix(ids, ids, d))
+        calls = _record_node_lps(monkeypatch)
+        out = solve_mip(mip)
+        assert out.status is Status.OPTIMAL
+        root = mip.base
+        moved = [
+            int(np.count_nonzero(lp.lo != root.lo) + np.count_nonzero(lp.hi != root.hi))
+            for lp, _ in calls[1:]
+        ]
+        assert max(moved) > 1  # more than the branched bound moved
+        for lp, _ in calls:
+            assert (lp.lo >= root.lo).all() and (lp.hi <= root.hi).all()
+            assert np.array_equal(lp.lo, np.round(lp.lo)) and np.array_equal(lp.hi, np.round(lp.hi))
+
+    def test_continuous_bounds_never_move(self, monkeypatch):
+        # max x + y + z s.t. y + z <= 4x, 2x <= 1, x binary, y continuous in
+        # [0, 10], z integer in [0, 3]: the root has x = 0.5. At the child
+        # x = 0 one round reads z <= 0 and y <= 0 off the first row, but
+        # only the integer z is tightened; the child x >= 1 is settled by
+        # the second row.
+        mip = _mip(
+            [1.0, 1.0, 1.0],
+            [([-4.0, 1.0, 1.0], "le", 0.0), ([2.0, 0.0, 0.0], "le", 1.0)],
+            [(0.0, 1.0), (0.0, 10.0), (0.0, 3.0)],
+            [VarKind.BINARY, VarKind.CONTINUOUS, VarKind.INTEGER],
+            "max",
+        )
+        calls = _record_node_lps(monkeypatch)
+        out = solve_mip(mip)
+        assert out.status is Status.OPTIMAL
+        assert out.objective_value == pytest.approx(0.0)
+        assert [(lp.lo.tolist(), lp.hi.tolist()) for lp, _ in calls] == [
+            ([0.0, 0.0, 0.0], [1.0, 10.0, 3.0]),
+            ([0.0, 0.0, 0.0], [0.0, 10.0, 0.0]),
+        ]
+
+
+    def test_roundoff_on_large_terms_settles_no_feasible_child(self):
+        # 1e11 x0 + 0.13 x1 + 0.6 x2 - 1e11 x3 <= 0.73 holds at x = 1 (the
+        # stored 0.13 + 0.6 is at most the stored 0.73), but its least
+        # activity sums to 1.5e-5 past 0.73 in floats: past 1e-6 max(1, |b|),
+        # within the row's own scale.
+        mip = _mip(
+            [0.0] * 4,
+            [([1e11, 0.13, 0.6, -1e11], "le", 0.73)],
+            [(0.0, 1.0)] * 4,
+            [VarKind.BINARY] * 4,
+        )
+        assert Fraction(0.13) + Fraction(0.6) <= Fraction(0.73)
+        box = branch_bound._Propagator(mip).tighten(0, np.ones(4), np.ones(4))
+        assert box is not None
+        assert box[0].tolist() == box[1].tolist() == [1.0] * 4
+
+
+class TestIntegralObjective:
+    # min 4x0 + 6x1 + x2 + 5x3 s.t. 5x0 + 6x1 + 6x2 + 2x3 >= 9, binary: the
+    # root LP is 3.4 (x2 = 1, x0 = 0.6) and the optimum 5 (x0 = x2 = 1). Two
+    # node LPs leave the search open at the bound the root hands its children.
+    ROW = [([5.0, 6.0, 6.0, 2.0], "ge", 9.0)]
+
+    def test_an_integral_objective_raises_the_open_bound(self):
+        out = solve_mip(_binary_mip([4.0, 6.0, 1.0, 5.0], self.ROW), SolveLimits(max_nodes=2))
+        assert out.status is Status.ITERATION_LIMIT
+        assert out.best_bound == 4.0  # ceil(3.4)
+        assert out.best_bound <= solve_mip(_binary_mip([4.0, 6.0, 1.0, 5.0], self.ROW)).objective_value
+
+    @pytest.mark.parametrize("costs, kinds", [
+        ([4.5, 6.0, 1.0, 5.0], [VarKind.BINARY] * 4),
+        ([4.0, 6.0, 1.0, 5.0], [VarKind.BINARY] * 3 + [VarKind.CONTINUOUS]),
+    ], ids=["half-integer-cost", "costed-continuous"])
+    def test_other_objectives_keep_the_lp_bound(self, costs, kinds, monkeypatch):
+        mip = _mip(costs, self.ROW, [(0.0, 1.0)] * 4, kinds)
+        calls = _record_node_lps(monkeypatch)
+        out = solve_mip(mip, SolveLimits(max_nodes=2))
+        assert out.status is Status.ITERATION_LIMIT
+        root = calls[0][1].objective_value
+        assert root != math.ceil(root)
+        assert out.best_bound == root
+
+
+class TestLargeIntegralObjectives:
+    # min 1e6 a + 999,998 b + x s.t. a + b >= 1, b <= 2x, binary: the root
+    # LP is 999,998.5 (b = 1, x = 1/2). Its down child (x = 0, popped first)
+    # gives the incumbent 1,000,000 (a = 1) and its up child the optimum
+    # 999,999 (b = x = 1), one unit below it.
+    def test_a_node_one_unit_below_a_large_incumbent_wins(self, monkeypatch):
+        mip = _mip(
+            [1e6, 999_998.0, 1.0],
+            [([1.0, 1.0, 0.0], "ge", 1.0), ([0.0, 1.0, -2.0], "le", 0.0)],
+            [(0.0, 1.0)] * 3,
+            [VarKind.BINARY] * 3,
+        )
+        calls = _record_node_lps(monkeypatch)
+        out = solve_mip(mip)
+        assert [outcome.objective_value for _, outcome in calls] == pytest.approx(
+            [999_998.5, 1e6, 999_999.0])
+        assert out.status is Status.OPTIMAL
+        assert out.objective_value == 999_999.0
+        assert out.best_bound == out.objective_value
+
+    @pytest.mark.parametrize("direction", ["min", "max"])
+    def test_best_bound_is_the_optimum(self, direction):
+        # 2a + 2b >= 1 (min) or <= 3 (max), binary, cost 5e6 each: the root
+        # is fractional and the optimum 5,000,000.
+        sense, rhs = ("ge", 1.0) if direction == "min" else ("le", 3.0)
+        mip = _mip([5e6, 5e6], [([2.0, 2.0], sense, rhs)], [(0.0, 1.0)] * 2,
+                   [VarKind.BINARY] * 2, direction)
+        out = solve_mip(mip)
+        assert out.status is Status.OPTIMAL
+        assert out.objective_value == 5e6
+        assert out.best_bound == 5e6
+
+    @pytest.mark.parametrize("value", [0.0, 3.0000001, -2.9999999, 999_999.0, 1e6, 5e6, -5e6, 1e12])
+    def test_an_integral_value_is_not_lowered(self, value):
+        assert branch_bound._raised(value) >= value
+        assert branch_bound._raised(value) == value or branch_bound._raised(value) == math.ceil(value)
+
+    def test_a_fraction_is_raised_to_the_next_integer(self):
+        assert branch_bound._raised(3.4) == 4.0
+        assert branch_bound._raised(-3.4) == -3.0
+        assert branch_bound._raised(999_998.6) == 999_999.0
 
 
 class TestNodeAccounting:
