@@ -1,5 +1,5 @@
 """Continuous LP representation and a bounded-variable simplex solver: a dual
-simplex from every dual feasible start, and a two-phase primal from any other.
+simplex reaches a feasible point, and the primal's phase 2 finishes it.
 
 Problems are stated in the standard form
 
@@ -13,24 +13,30 @@ n variables, row i owns the logical column n + i, bounded to [0, 0] on an
 equality row and [0, inf) on an inequality row. `LinearProgram` builds
 [A_eq; A_ub | I] once; the LPs `with_bounds` makes share it.
 
-Which simplex runs. A solve starts from `lp.basis`, m working-form columns
-(a branch-and-bound child is given its parent's optimal basis), or from the
-logical basis when that is None. Each nonbasic column is put at the bound
-its reduced cost wants (the upper one if d_j < -1e-7, else the lower one),
-so the start is dual feasible unless a cost points at an infinite bound.
-The logical basis is so whenever every column can rest at the bound its
-cost wants: costs >= 0 from finite lower bounds, or boxed columns, as in
-every model the builders make. A child's start is so because only bounds
-changed. From a dual feasible start the dual simplex runs; its point is
-then handed to the primal's phase 2, which confirms it in one pricing or
-repairs reduced costs that roundoff pushed past the tolerance. The primal's
-two phases below run instead, from the logical basis, when the start basis
-is singular or not dual feasible, and when the dual ends INFEASIBLE on a
-row that does not prove it. The Farkas check takes y, that row of B^-1
-signed so that y A x should lie above y b, and asks whether the least value
-of y A x over the bounds exceeds y b by more than 1e-7 * max(1, |y b|),
-coefficients within 1e-9 of the largest counting as zero. A proven
-INFEASIBLE carries y (`LpOutcome.farkas`).
+Which simplex runs. Every solve takes one route. It starts from
+`lp.basis`, m working-form columns (a branch-and-bound child is given its
+parent's optimal basis), or from the logical basis when that is None. Each
+nonbasic column is put at the bound its reduced cost wants (the upper one
+if d_j < -1e-7, else the lower one; if that one is infinite, the other, or
+0 if free). A column whose move there still improves c.x by more than 1e-7
+(a free column, or a cost that points at an infinite bound) has its cost
+shifted by -d_j, so that its reduced cost is 0, and the start is dual
+feasible (the cost-modification dual phase 1 of Koberstein and Suhl 2007,
+Comput. Optim. Appl. 37). A child's start needs no shift, because only
+bounds changed; the logical start needs none when every cost points at a
+finite bound, as in most models the builders make (a max-flow source arc
+with no capacity needs one). The dual simplex, on the shifted costs, meets
+every row and bound; the primal's phase 2 then prices that point on the
+true costs (negated for max) and pivots on where a shift or roundoff left
+a reduced cost past the tolerance, so UNBOUNDED is found there. A dual
+INFEASIBLE must pass a Farkas check: y, the leaving row of B^-1 signed so
+that y A x should lie above y b, proves it if the least value of y A x over
+the bounds exceeds y b by more than 1e-7 * max(1, |y b|), coefficients
+within 1e-9 of the largest counting as zero. y does not depend on c, so
+the shift cannot fake a proof. A proven INFEASIBLE carries y
+(`LpOutcome.farkas`). A singular start basis, an unproven INFEASIBLE, and a
+restricted solve (below) that cannot finish are solved once more, from the
+logical basis on every row; unproven there too, the status is NUMERICAL.
 
 Rows held back. A dual start holds back the inequality rows whose logical
 is basic in its basis (from the logical basis: every inequality row its
@@ -45,12 +51,12 @@ blockwise to [[B^-1, 0], [-A_K,B B^-1, I]] for the appended rows K. Their
 duals are 0, so every reduced cost keeps its value and the dual simplex
 goes on from there, with no refactorisation and no pricing. Once no held
 row breaks, phase 2 confirms the point, once; if it pivots onto a point
-that breaks a held row, the primal solves the whole LP. The basis returned
+that breaks a held row, the LP is solved again as above. The basis returned
 is the restricted basis plus the held rows' logicals, basic at their slack,
 so it starts a solve of the whole LP as any other basis does, and a proven
-INFEASIBLE's Farkas row is 0 on the rows still held. An unproven
-INFEASIBLE, and an unbounded ray of the restricted rows, go to the primal
-on every row too, and the final check below covers every row.
+INFEASIBLE's Farkas row is 0 on the rows still held. An unbounded ray of
+the restricted rows is solved again as above too, and the final check
+below covers every row.
 
 The dual simplex takes out the basic variable that breaks its bound by the
 most, at that bound, and brings in the column whose reduced cost reaches
@@ -63,24 +69,14 @@ ratios within 1e-12 of the least, the largest |coefficient| within
 more than 1e-7 is OPTIMAL; no column that can move the leaving one is
 INFEASIBLE.
 
-The primal starts every variable at its finite lower bound, else its finite
-upper bound, else (free) at zero; every logical starts basic at its row's
-residual r. Phase 1 minimises the violation of every equality row and each
-inequality row with r < 0, whose logical gets the bounds [min(r, 0),
-max(r, 0)] and the cost sign(r). A feasible point may need such a row
-slack, so when phase 1 stops with the row met (its logical at zero) the row
-is released (bounds [0, inf), cost 0) and phase 1 goes on. INFEASIBLE means
-a row is still violated when none is left to release. Phase 2 restores the
-logical bounds and minimises the true objective (negated for max).
-
 Both loops return a status instead of raising: OPTIMAL, ITERATION_LIMIT
-(max_iterations pivots in all), UNBOUNDED on an improving ray that no bound
-blocks (primal only), or NUMERICAL on a singular basis. Phase 1 is bounded
-below, so an unbounded ray there is reported as NUMERICAL. The tolerances
-are fixed: feasibility and optimality 1e-7. A row is met within
-1e-7 * max(1, |b_i|) + 1e3 eps sum_j |A_ij x_j|, and before OPTIMAL every
-row must be met and every bound held within 1e-7 * max(1, max |b|), and the
-objective value must be finite, else the status is NUMERICAL.
+(max_iterations pivots in all, a solve made again included), UNBOUNDED on
+an improving ray that no bound blocks (phase 2 only), or NUMERICAL on a
+singular basis. The tolerances are fixed: feasibility and optimality 1e-7.
+A row is met within 1e-7 * max(1, |b_i|) + 1e3 eps sum_j |A_ij x_j|, and
+before OPTIMAL every row must be met and every bound held within
+1e-7 * max(1, max |b|), and the objective value must be finite, else the
+status is NUMERICAL.
 `LpOutcome.iterations` counts every pivot made, whatever the status; at
 OPTIMAL `LpOutcome.basis` is the final basis.
 
@@ -156,8 +152,9 @@ _TIE = 1e-12
 class SolveLimits:
     """Caps of a solve.
 
-    max_iterations caps the simplex pivots of each LP solve (phase 1 and
-    phase 2 together); in branch and bound every node LP gets the full cap.
+    max_iterations caps the simplex pivots of each LP solve (the dual
+    simplex, phase 2 and a solve made again from the logical basis
+    together); in branch and bound every node LP gets the full cap.
     max_nodes caps the node LPs of one branch-and-bound search.
     """
 
@@ -552,27 +549,24 @@ def _primal_feasible(A, b, lo, hi, x, scale: float) -> bool:
     return bool(np.maximum(lo - x, x - hi).max(initial=0.0) <= _FEASIBILITY_TOL * scale)
 
 
-def _resting_point(lo, hi) -> np.ndarray:
-    """Each column at its finite lower bound, else its finite upper bound,
-    else (free) at zero. Logicals have the lower bound 0."""
-    return np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-
-
 def _wanted_point(d, lo, hi) -> np.ndarray:
     """Each column at the bound its reduced cost d_j wants: the upper one if
     d_j < -_OPTIMALITY_TOL, else the lower one; where that bound is
     infinite, at its other bound, or 0 if free."""
-    return np.where((d < -_OPTIMALITY_TOL) & np.isfinite(hi), hi, _resting_point(lo, hi))
+    lower = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    return np.where((d < -_OPTIMALITY_TOL) & np.isfinite(hi), hi, lower)
 
 
 def _dual_start(A, b, c, lo, hi, basis, Binv):
-    """(basis, x, Binv) of a dual feasible start from `basis`, or None.
+    """(basis, x, Binv, c_dual) of a dual feasible start from `basis`, or
+    None for a singular basis.
 
     Binv is the basis's inverse, I for a logical basis, or None to factorise
     it afresh. Each nonbasic column sits at the bound its reduced cost wants
-    (`_wanted_point`). The start is dual feasible when no column's move then
-    improves c.x by more than _OPTIMALITY_TOL. None for a singular basis or
-    one not dual feasible.
+    (`_wanted_point`). A column whose move still improves c.x by more than
+    _OPTIMALITY_TOL there (a free column, or a cost that points at an
+    infinite bound) has its cost shifted by -d_j in c_dual, so that its
+    reduced cost is 0.
     """
     if Binv is None:
         try:
@@ -581,11 +575,11 @@ def _dual_start(A, b, c, lo, hi, basis, Binv):
             return None
     d = c - (c[basis] @ Binv) @ A
     x = _wanted_point(d, lo, hi)
-    if (_violations(d, x, lo, hi, basis) > _OPTIMALITY_TOL).any():
-        return None
+    shift = _violations(d, x, lo, hi, basis) > _OPTIMALITY_TOL
+    c_dual = np.where(shift, c - d, c)
     x[basis] = 0.0
     x[basis] = Binv @ (b - A @ x)
-    return basis, x, Binv
+    return basis, x, Binv, c_dual
 
 
 def _held_rows(A, b, c, lo, hi, basis, m_eq) -> np.ndarray | None:
@@ -594,7 +588,7 @@ def _held_rows(A, b, c, lo, hi, basis, m_eq) -> np.ndarray | None:
     basis, every row that basis's start point breaks. None unless there are
     some, and at least _HOLD_RATIO times as many as the other rows. (A basis
     that repeats a logical repeats its row here; such a basis is singular,
-    and its start fails as any singular start does.)"""
+    and the LP is solved again from the logical basis on every row.)"""
     m, n_total = A.shape
     n = n_total - m
     if m - m_eq < _HOLD_RATIO * m_eq:
@@ -619,11 +613,12 @@ def _broken_rows(A, b, x, held) -> np.ndarray:
     return rows[excess[rows] > _row_tol(A[rows], b[rows], x)]
 
 
-def _solve_dual(A, b, c, lo, hi, basis, limits):
+def _solve_dual(A, b, c, lo, hi, basis, limits, iteration):
     """(status, iterations, basis, x, y) of the dual simplex from `basis`
-    (None for the logical one), and of phase 2's confirmation of its point.
-    y is the Farkas row at INFEASIBLE. The status is None when the start is
-    singular or not dual feasible."""
+    (None for the logical one) on the costs `_dual_start` shifts, and of
+    phase 2 from its point on the true costs c. Iterations go on from
+    `iteration`. y is the Farkas row at INFEASIBLE. The status is None when
+    the start basis is singular."""
     m, n_total = A.shape
     if basis is None:
         basis, Binv = n_total - m + np.arange(m), np.eye(m)
@@ -631,9 +626,9 @@ def _solve_dual(A, b, c, lo, hi, basis, limits):
         basis, Binv = np.array(basis), None
     start = _dual_start(A, b, c, lo, hi, basis, Binv)
     if start is None:
-        return None, 0, None, None, None
-    basis, x, Binv = start
-    status, iters, y = _run_dual(A, c, lo, hi, basis, x, Binv, limits, 0)
+        return None, iteration, None, None, None
+    basis, x, Binv, c_dual = start
+    status, iters, y = _run_dual(A, c_dual, lo, hi, basis, x, Binv, limits, iteration)
     if status is Status.OPTIMAL:
         status, iters = _run_simplex(A, c, lo, hi, basis, x, Binv, limits, iters)
     return status, iters, basis, x, y
@@ -659,7 +654,7 @@ def _solve_restricted(A, b, c, lo, hi, basis, held, limits):
     start = _dual_start(rows_r[:active.size], b[active], c, lo, hi, basis, Binv)
     if start is None:
         return None, 0, None, None, None
-    basis, x, Binv = start
+    basis, x, Binv, c_dual = start
     iters, rows = 0, _broken_rows(A, b, x, fixed[n:])
     while True:
         size, k = basis.size, rows.size
@@ -675,7 +670,7 @@ def _solve_restricted(A, b, c, lo, hi, basis, held, limits):
             fixed[logicals], hi[logicals] = False, math.inf
             x[logicals] = b[rows] - new @ x
         A_r = rows_r[:size + k]
-        status, iters, y = _run_dual(A_r, c, lo, hi, basis, x, Binv, limits, iters)
+        status, iters, y = _run_dual(A_r, c_dual, lo, hi, basis, x, Binv, limits, iters)
         if status is not Status.OPTIMAL:
             break
         rows = _broken_rows(A, b, x, fixed[n:])
@@ -696,50 +691,17 @@ def _solve_restricted(A, b, c, lo, hi, basis, held, limits):
     return status, iters, np.concatenate([basis, n + held]), x, y
 
 
-def _primal_phase_1(A, b, lo, hi, m_eq, limits, iters):
-    """(status, iterations, basis, x, Binv) of the primal's phase 1 from the
-    logical basis (see the module docstring); OPTIMAL means x is feasible.
-    `iters` pivots were made before it."""
-    m, n_total = A.shape
-    n = n_total - m
-    x = _resting_point(lo, hi)
-    x[n:] = b - A @ x
-    basis = n + np.arange(m)
-    Binv = np.eye(m)  # the logicals' block of A is I
-
-    # Phase 1 over the logicals p1 of the violated rows.
-    p1 = n + np.flatnonzero((np.arange(m) < m_eq) | (x[n:] < 0))
-    lo1, hi1, c1 = lo.copy(), hi.copy(), np.zeros(n + m)
-    lo1[p1], hi1[p1], c1[p1] = np.minimum(x[p1], 0.0), np.maximum(x[p1], 0.0), np.sign(x[p1])
-    while p1.size:
-        status, iters = _run_simplex(A, c1, lo1, hi1, basis, x, Binv, limits, iters)
-        if status is Status.UNBOUNDED:
-            status = Status.NUMERICAL
-        if status is not Status.OPTIMAL:
-            return status, iters, basis, x, Binv
-        ub = p1 >= n + m_eq
-        violation = np.where(ub, -x[p1], np.abs(x[p1]))
-        off = violation > _row_tol(A[p1 - n], b[p1 - n], x)
-        if not off.any():
-            break
-        release = p1[ub & ~off]
-        if release.size == 0:
-            return Status.INFEASIBLE, iters, basis, x, Binv
-        lo1[release], hi1[release], c1[release] = 0.0, math.inf, 0.0
-        p1 = p1[~ub | off]
-    x[p1] = 0.0  # rows phase 1 left within tolerance, made exact for phase 2
-    return Status.OPTIMAL, iters, basis, x, Binv
-
-
 def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     """Solve an LP, returning a status-coded outcome (never raising on
     infeasibility or unboundedness).
 
-    The solve starts from `lp.basis` (the logical basis if None). If that
-    start is dual feasible the dual simplex runs, on the rows that bind when
-    it holds rows back, else the primal's two phases from the logical basis;
-    an INFEASIBLE from the dual that its Farkas row does not prove is solved
-    again by the primal.
+    The solve starts from `lp.basis` (the logical basis if None). The dual
+    simplex, on costs shifted where the start is not dual feasible and on
+    the rows that bind when it holds rows back, reaches a feasible point,
+    and the primal's phase 2 finishes it on the true costs. A singular
+    start, an INFEASIBLE its Farkas row does not prove, or a restricted
+    solve that cannot finish is solved once more from the logical basis on
+    every row; unproven there too, it is NUMERICAL.
 
     When the optimum is not unique, one optimal basic solution is returned;
     which of the tied vertices that is stays unspecified.
@@ -752,19 +714,21 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     hi = np.concatenate([lp.hi, np.where(np.arange(m) < m_eq, 0.0, math.inf)])
     c = np.concatenate([-lp.c if lp.direction == "max" else lp.c, np.zeros(m)])
 
-    held = _held_rows(A, b, c, lo, hi, lp.basis, m_eq)
-    if held is not None:
-        status, iters, basis, x, y = _solve_restricted(A, b, c, lo, hi, lp.basis, held, limits)
-    else:
-        status, iters, basis, x, y = _solve_dual(A, b, c, lo, hi, lp.basis, limits)
-    if status is Status.INFEASIBLE:
-        if _farkas_holds(A, b, lo, hi, y):
-            return LpOutcome(status=status, iterations=iters, farkas=y)
-        status = None  # unproven: the primal decides
+    iters, start, held = 0, lp.basis, _held_rows(A, b, c, lo, hi, lp.basis, m_eq)
+    while True:
+        if held is None:
+            status, iters, basis, x, y = _solve_dual(A, b, c, lo, hi, start, limits, iters)
+        else:
+            status, iters, basis, x, y = _solve_restricted(A, b, c, lo, hi, start, held, limits)
+        if status is Status.INFEASIBLE:
+            if _farkas_holds(A, b, lo, hi, y):
+                return LpOutcome(status=status, iterations=iters, farkas=y)
+            status = None  # unproven
+        if status is not None or (start is None and held is None):
+            break
+        start = held = None  # once more, from the logical basis on every row
     if status is None:
-        status, iters, basis, x, Binv = _primal_phase_1(A, b, lo, hi, m_eq, limits, iters)
-        if status is Status.OPTIMAL:
-            status, iters = _run_simplex(A, c, lo, hi, basis, x, Binv, limits, iters)
+        status = Status.NUMERICAL
     scale = float(np.abs(b).max(initial=1.0))
     if status is Status.OPTIMAL and not _primal_feasible(A, b, lo, hi, x, scale):
         status = Status.NUMERICAL

@@ -81,6 +81,8 @@ def parse_gal(text: str) -> SpatialWeights:
         count = int(header[1])
     except ValueError:
         raise GalParseError(f"area count {header[1]!r} is not numeric", 1)
+    if count < 0:
+        raise GalParseError(f"area count {count} is negative", 1)
     neighbors: dict = {}
     line_no = 1
     idx = 1
@@ -99,6 +101,8 @@ def parse_gal(text: str) -> SpatialWeights:
             n_nb = int(tokens[1])
         except ValueError:
             raise GalParseError(f"neighbor count {tokens[1]!r} is not numeric", line_no)
+        if n_nb < 0:
+            raise GalParseError(f"neighbor count {n_nb} is negative", line_no)
         if area in neighbors:
             raise GalParseError(f"duplicate area {area!r}", line_no)
         idx += 1

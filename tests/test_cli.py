@@ -500,6 +500,13 @@ class TestSpatialCommands:
         assert code == PARSE_ERROR
         assert out == "" and err == "parse error: record beyond the 2 declared areas (line 6)\n"
 
+    def test_gal_negative_area_count_exits_65(self, tmp_path):
+        path = tmp_path / "negative.gal"
+        path.write_text("0 -3 x y\n")
+        code, out, err = _run(["cover", "--gal", str(path)])
+        assert code == PARSE_ERROR
+        assert out == "" and err == "parse error: area count -3 is negative (line 1)\n"
+
 
 class TestTableCommands:
     def test_transport_fixed(self, tmp_path):

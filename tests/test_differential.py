@@ -247,21 +247,44 @@ def test_a_child_a_bound_flipping_ratio_test_pruned_is_optimal():
     _assert_same_answer(solve_mip(MipProblem(lp, tuple(kinds), ("x1", "x2", "x3", "x4"))), *highs)
 
 
-def test_the_ratio_test_overshoot_lp_is_optimal():
-    """7 boxed variables, coefficients 1e-4..1e4. The primal's ratio test
-    lets x2 overshoot its bound on this LP and ends NUMERICAL; every column
-    can rest at the bound its cost wants, so the dual simplex solves it, to
-    60100 as HiGHS does."""
+def _overshoot_lp(column=None, side=None, step=0.0):
+    """7 boxed variables, 4 rows, coefficients 1e-4..1e4, maximised. With a
+    column, that column's bound on `side` is opened (lo to -inf, hi to
+    +inf) and its cost moved by `step` toward it."""
     A = [[1e2, 0, 0, 0, 1e4, 0, -1e-3], [1, -1, -1e2, 1e3, 0, 1e-3, -1e2],
          [0, 1e4, 0, 1, -1e-3, 1e-2, 0], [1e-4, -1e2, 0, 0, -1e2, 0, 1e2]]
-    lp = _linear_program(
-        np.array([1e4, 100, 1e4, 0, 0, 0, 0]), np.array(A), ["ge", "le", "le", "ge"],
-        np.array([29900.003, 3899.005, 10004.047, -600.0011]),
-        np.array([-4, -5, 4, 4, 3, 3, -3.0]), np.array([2, 1, 4, 9, 5, 7, 0.0]), "max",
+    c = np.array([1e4, 100, 1e4, 0, 0, 0, 0])
+    lo, hi = np.array([-4, -5, 4, 4, 3, 3, -3.0]), np.array([2, 1, 4, 9, 5, 7, 0.0])
+    if side == "lo":
+        lo[column], c[column] = -math.inf, c[column] - step
+    elif side == "hi":
+        hi[column], c[column] = math.inf, c[column] + step
+    return _linear_program(
+        c, np.array(A), ["ge", "le", "le", "ge"],
+        np.array([29900.003, 3899.005, 10004.047, -600.0011]), lo, hi, "max",
     )
+
+
+def test_the_ratio_test_overshoot_lp_is_optimal():
+    """The primal's ratio test lets x2 overshoot its bound on this LP and
+    ends NUMERICAL; every column can rest at the bound its cost wants, so
+    the dual simplex solves it, to 60100 as HiGHS does."""
+    lp = _overshoot_lp()
     status, objective = _highs_lp(lp)
     assert (status, objective) == (Status.OPTIMAL, pytest.approx(60100.0))
     _assert_same_answer(solve_lp(lp), status, objective)
+
+
+@pytest.mark.parametrize("step", [1.0, 1e2, 1e4])
+@pytest.mark.parametrize("side", ["lo", "hi"])
+@pytest.mark.parametrize("column", range(7))
+def test_the_overshoot_lp_with_a_bound_opened_matches_highs(column, side, step):
+    """The overshoot LP with one bound opened and its cost turned toward
+    it. In 34 of these 42 LPs the cost then points at the infinite bound,
+    so the logical start is not dual feasible and the dual simplex runs on
+    shifted costs."""
+    lp = _overshoot_lp(column, side, step)
+    _assert_same_answer(solve_lp(lp), *_highs_lp(lp))
 
 
 def _transportation_lp(seed):
@@ -368,8 +391,8 @@ def test_rows_of_large_terms_keep_their_optimum():
 def _covering_lp(seed):
     """A random covering LP with 10-30 rows: min c.x over A x >= b, x >= 0,
     with A >= 0 (every row has a positive entry), b > 0 and c > 0. The
-    start x = 0 violates every row, and many rows end slack, so phase 1
-    releases rows over several rounds."""
+    start x = 0 violates every row, and many of the rows it violates end
+    slack."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(10, 31))
     n = int(rng.integers(5, 21))

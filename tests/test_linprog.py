@@ -1,4 +1,5 @@
-"""Tests for the bounded-variable two-phase simplex solver."""
+"""Tests for the bounded-variable simplex solver: the dual simplex, on costs
+shifted where its start is not dual feasible, then the primal's phase 2."""
 
 import math
 import random
@@ -50,6 +51,12 @@ def _recorded(monkeypatch, name):
 
     monkeypatch.setattr(linprog, name, recording)
     return calls
+
+
+def _starts(calls):
+    """The start basis of each recorded `_solve_dual` call, None for the
+    logical one."""
+    return [None if basis is None else basis.tolist() for _, _, _, _, _, basis, *_ in calls]
 
 
 class TestStandardForm:
@@ -135,7 +142,8 @@ class TestStatuses:
         assert out.status == 1
 
     def test_iteration_limit_in_phase_1(self):
-        # Both equality rows start violated; the cap stops phase 1 after one pivot.
+        # Both equality rows start violated; the cap stops the dual simplex,
+        # which reaches the feasible point, after one pivot.
         lp = LinearProgram([1.0, 1.0], A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[4.0, 0.0])
         capped = solve_lp(lp, SolveLimits(max_iterations=1))
         assert capped.status is Status.ITERATION_LIMIT
@@ -184,8 +192,9 @@ class TestStatuses:
 
     def test_a_violated_row_may_end_slack(self):
         # The start (x2 = -2, x3 = 0) violates x3 <= -1 and x2 - x3 = 0.
-        # Phase 1 first meets x3 <= -1 at equality; only once that row is
-        # released can x3 go on to -2, where the row is slack.
+        # The only feasible x3 is -2, where x3 <= -1 is slack, so a row the
+        # start violates must not end held at equality: the dual's one
+        # pivot brings x3 in on the equality row and leaves that row slack.
         lp = _lp(
             [1.0, 0.0, 0.0],
             rows=[([0.0, 0.0, 0.0], "le", 0.0), ([0.0, 0.0, 1.0], "le", -1.0),
@@ -235,35 +244,77 @@ class TestPrimalCheck:
 
 
 class TestDualSimplex:
-    """Which start runs the dual simplex, and when the primal takes over."""
+    """Which costs the dual simplex runs on, and when a solve is made again
+    from the logical basis on every row."""
 
     # min x1 + 2 x2 s.t. x1 + x2 >= 1, x >= 0: every cost is nonnegative, so
     # the logical basis, each column at its lower bound, is dual feasible.
     LP = LinearProgram([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
 
-    def _primal_runs(self, monkeypatch):
-        return _recorded(monkeypatch, "_primal_phase_1")
-
     def test_a_dual_feasible_start_runs_the_dual(self, monkeypatch):
-        calls = self._primal_runs(monkeypatch)
+        calls = _recorded(monkeypatch, "_run_dual")
         out = solve_lp(self.LP)
         assert (out.status, out.objective_value, out.iterations) == (Status.OPTIMAL, 1.0, 1)
-        assert out.basis.tolist() == [0] and not calls
+        assert out.basis.tolist() == [0]
+        assert [c.tolist() for _, c, *_ in calls] == [[1.0, 2.0, 0.0]]  # the true costs
 
     def test_a_start_that_is_not_dual_feasible_runs_the_primal(self, monkeypatch):
         # With x2 basic, x1's reduced cost is -1 at its lower bound and its
-        # upper bound is infinite, so no placement is dual feasible.
-        calls = self._primal_runs(monkeypatch)
+        # upper bound is infinite, so no placement is dual feasible. The dual
+        # runs once, with x1's cost shifted from 1 to 2 (reduced cost 0), and
+        # the primal's phase 2 brings x1 in on the true costs.
+        solves, duals = _recorded(monkeypatch, "_solve_dual"), _recorded(monkeypatch, "_run_dual")
         out = solve_lp(self.LP.with_bounds(self.LP.lo, self.LP.hi, [1]))
-        assert (out.status, out.objective_value) == (Status.OPTIMAL, 1.0)
-        assert len(calls) == 1
+        assert (out.status, out.objective_value, out.iterations) == (Status.OPTIMAL, 1.0, 1)
+        assert _starts(solves) == [[1]]
+        assert [c.tolist() for _, c, *_ in duals] == [[2.0, 2.0, 0.0]]
 
     def test_a_singular_start_basis_runs_the_primal(self, monkeypatch):
+        # The start basis repeats x1, so it is singular; the LP is solved
+        # again from the logical basis.
         lp = LinearProgram([1.0, 2.0], A_ub=[[-1.0, -1.0], [-2.0, -2.0]], b_ub=[-1.0, -2.0])
-        calls = self._primal_runs(monkeypatch)
+        calls = _recorded(monkeypatch, "_solve_dual")
         out = solve_lp(lp.with_bounds(lp.lo, lp.hi, [0, 0]))
         assert (out.status, out.objective_value) == (Status.OPTIMAL, 1.0)
-        assert len(calls) == 1
+        assert _starts(calls) == [[0, 0], None]
+
+    @staticmethod
+    def _lying_dual(monkeypatch, lies):
+        """Make the first `lies` `_run_dual` calls end INFEASIBLE on a row
+        that proves nothing; later calls run the dual simplex."""
+        run, told = linprog._run_dual, []
+
+        def lying(A, c, lo, hi, basis, x, Binv, limits, iteration):
+            if len(told) < lies:
+                told.append(True)
+                return Status.INFEASIBLE, iteration, np.ones(A.shape[0])
+            return run(A, c, lo, hi, basis, x, Binv, limits, iteration)
+
+        monkeypatch.setattr(linprog, "_run_dual", lying)
+
+    def test_an_unproven_infeasible_is_solved_again_by_the_primal(self, monkeypatch):
+        # A dual that calls this feasible LP infeasible, with a row that
+        # proves nothing, is overruled by the solve made again from the
+        # logical basis. The start is a warm one, x1 basic, so that the
+        # solve made again is another.
+        self._lying_dual(monkeypatch, 1)
+        calls = _recorded(monkeypatch, "_solve_dual")
+        out = solve_lp(self.LP.with_bounds(self.LP.lo, self.LP.hi, [0]))
+        assert (out.status, out.objective_value, out.farkas) == (Status.OPTIMAL, 1.0, None)
+        assert _starts(calls) == [[0], None]
+
+    @pytest.mark.parametrize("start, starts", [([0], [[0], None]), (None, [None])],
+                             ids=["warm", "cold"])
+    def test_an_infeasible_unproven_from_the_logical_basis_is_numerical(
+            self, start, starts, monkeypatch):
+        """Unproven from the logical basis on every row, INFEASIBLE is not
+        claimed; the cold start is that solve already, so it runs once."""
+        self._lying_dual(monkeypatch, 2)
+        calls = _recorded(monkeypatch, "_solve_dual")
+        lp = self.LP if start is None else self.LP.with_bounds(self.LP.lo, self.LP.hi, start)
+        out = solve_lp(lp)
+        assert (out.status, out.x, out.farkas) == (Status.NUMERICAL, None, None)
+        assert _starts(calls) == starts
 
     def test_an_infeasible_lp_carries_its_farkas_row(self):
         # x1 + x2 >= 1 with x in [0, 0.25]^2: y = (1) gives -x1 - x2 + s = -1,
@@ -271,18 +322,6 @@ class TestDualSimplex:
         out = solve_lp(self.LP.with_bounds([0.0, 0.0], [0.25, 0.25]))
         assert out.status is Status.INFEASIBLE and out.x is None and out.basis is None
         assert out.farkas.tolist() == [1.0]
-
-    def test_an_unproven_infeasible_is_solved_again_by_the_primal(self, monkeypatch):
-        # A dual that calls this feasible LP infeasible, with a row that
-        # proves nothing, is overruled by the primal.
-        def wrong(A, c, lo, hi, basis, x, Binv, limits, iteration):
-            return Status.INFEASIBLE, iteration, np.ones(A.shape[0])
-
-        monkeypatch.setattr(linprog, "_run_dual", wrong)
-        calls = self._primal_runs(monkeypatch)
-        out = solve_lp(self.LP)
-        assert (out.status, out.objective_value, out.farkas) == (Status.OPTIMAL, 1.0, None)
-        assert len(calls) == 1
 
     def test_a_basis_is_a_start_for_other_bounds(self):
         out = solve_lp(self.LP)
@@ -333,12 +372,14 @@ class TestRowActivation:
         assert out.status is Status.OPTIMAL and out.nodes_explored > 1 and not calls
 
     def test_a_start_basis_repeating_a_held_logical_runs_the_primal(self, monkeypatch):
+        """The restricted start is singular, so the LP is solved again from
+        the logical basis on every row."""
         lp = self._box_lp([2.0, 3.0, 4.0, 5.0])
         calls = self._restricted_runs(monkeypatch)
-        primal = _recorded(monkeypatch, "_primal_phase_1")
+        again = _recorded(monkeypatch, "_solve_dual")
         out = solve_lp(lp.with_bounds(lp.lo, lp.hi, [3, 3, 4, 5, 6]))
         assert (out.status, out.objective_value) == (Status.OPTIMAL, 1.0)
-        assert len(calls) == len(primal) == 1
+        assert len(calls) == 1 and _starts(again) == [None]
 
     def test_a_broken_held_row_is_added(self):
         # x1 <= 0.25 breaks at the restricted optimum x = (1, 0), so it joins
@@ -361,7 +402,8 @@ class TestRowActivation:
 
     def test_phase_2_moving_off_a_held_row_leaves_it_to_the_primal(self, monkeypatch):
         """If phase 2's confirmation pivots and the point it reaches breaks a
-        held row, the primal solves the whole LP."""
+        held row, the LP is solved again from the logical basis on every
+        row."""
         run = linprog._run_simplex
         moved = []
 
@@ -373,8 +415,10 @@ class TestRowActivation:
             return run(A, c, lo, hi, basis, x, Binv, limits, iteration)
 
         monkeypatch.setattr(linprog, "_run_simplex", moving)
+        again = _recorded(monkeypatch, "_solve_dual")
         out = solve_lp(self._box_lp([2.0, 3.0, 4.0, 5.0]))
         assert (out.status, out.objective_value) == (Status.OPTIMAL, 1.0)
+        assert _starts(again) == [None]
 
 
 class TestSmallProblems:

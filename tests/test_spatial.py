@@ -51,6 +51,17 @@ class TestParseGal:
         with pytest.raises(GalParseError):
             parse_gal("0 x demo id\n")
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [("0 -3 x y\n", "area count -3 is negative", 1),
+         ("0 1\n1 -1\n", "neighbor count -1 is negative", 2)],
+        ids=["areas", "neighbors"],
+    )
+    def test_negative_count_names_its_line(self, text, message, line):
+        with pytest.raises(GalParseError, match=message) as err:
+            parse_gal(text)
+        assert err.value.line == line
+
     def test_empty_file(self):
         with pytest.raises(GalParseError):
             parse_gal("")
