@@ -175,7 +175,7 @@ class _Propagator:
     array calls to pay for themselves.
     """
 
-    __slots__ = ("A", "b", "m_eq", "integer", "root", "lines", "rows")
+    __slots__ = ("A", "b", "m_eq", "integer", "root", "rows")
 
     def __init__(self, mip: MipProblem) -> None:
         base = mip.base
@@ -184,14 +184,7 @@ class _Propagator:
         self.m_eq = base.b_eq.size
         self.integer = mip.integer.tolist()
         self.root = base.lo.tolist(), base.hi.tolist()
-        self.lines = {}  # column -> _lines(column)
-        self.rows = {}  # bound position -> _rows(position)
-
-    def _lines(self, j: int) -> list:
-        """The rows that hold column j, as (row, a_j, its (k, a_k) terms)."""
-        held = self.A[:, j].nonzero()[0]
-        return [(i, row[j], [(k, a) for k, a in enumerate(row) if a])
-                for i, row in zip(held.tolist(), self.A[held].tolist())]
+        self.rows = {}  # bound position -> the kept `<=` rows that read it, each a `_form`
 
     def _form(self, b: float, terms: list) -> "tuple | None":
         """The row sum(a_k x_k) <= b over its (k, a_k) terms as (b + tol,
@@ -223,24 +216,20 @@ class _Propagator:
             scale += abs(a) * ((abs(lo) if lo > -math.inf else 0.0) + (abs(hi) if hi < math.inf else 0.0))
         return b + _PROPAGATION_TOL * max(1.0, scale), pos, neg, up, down
 
-    def _rows(self, position: int) -> list:
-        """The kept `<=` rows whose least activity reads the bound at
-        `position`, each a `_form`."""
-        n = len(self.integer)
-        j, sign = (position, 1.0) if position < n else (position - n, -1.0)
-        if j not in self.lines:
-            self.lines[j] = self._lines(j)
-        forms = []
-        for i, a_j, terms in self.lines[j]:
-            if sign * a_j > 0:
-                form = self._form(self.b[i], terms)
-            elif i < self.m_eq:  # the equality's other side, -a x <= -b, reads it
-                form = self._form(-self.b[i], [(k, -a) for k, a in terms])
-            else:
-                continue
-            if form is not None:
-                forms.append(form)
-        return forms
+    def _file_rows(self, j: int) -> None:
+        """Read the rows that hold column j, and file each kept `<=` form
+        under the bound of j its least activity reads: rows[j] (lo_j) where
+        j's coefficient in it is positive, rows[n + j] (hi_j) where it is
+        negative."""
+        lower = self.rows[j] = []
+        upper = self.rows[len(self.integer) + j] = []
+        held = self.A[:, j].nonzero()[0]
+        for i, row in zip(held.tolist(), self.A[held].tolist()):
+            terms = [(k, a) for k, a in enumerate(row) if a]
+            for sign in (1.0, -1.0) if i < self.m_eq else (1.0,):  # an equality as two rows
+                form = self._form(sign * self.b[i], [(k, sign * a) for k, a in terms])
+                if form is not None:
+                    (lower if sign * row[j] > 0 else upper).append(form)
 
     def tighten(self, position: int, lo: np.ndarray, hi: np.ndarray) -> "tuple | None":
         """One round, within the box [lo, hi], over the rows whose least
@@ -251,7 +240,7 @@ class _Propagator:
         it, rounded inward (new arrays where a bound moved); every row's room
         is taken at the box as given. Continuous bounds never move."""
         if position not in self.rows:
-            self.rows[position] = self._rows(position)
+            self._file_rows(position % len(self.integer))
         lo_at, hi_at = lo.item, hi.item
         new_lo, new_hi = {}, {}  # column -> its tightened bound
         for loose, pos, neg, up, down in self.rows[position]:

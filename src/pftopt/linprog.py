@@ -38,22 +38,22 @@ the shift cannot fake a proof. A proven INFEASIBLE carries y
 restricted solve (below) that cannot finish are solved once more, from the
 logical basis on every row; unproven there too, the status is NUMERICAL.
 
-Rows held back. A dual start holds back the inequality rows whose logical
-is basic in its basis (from the logical basis: every inequality row its
-start point meets) when they number at least four times the other rows, as
-a p-median LP's n^2 linking rows Y_ij <= X_j do; otherwise it holds none.
-The dual simplex then runs on the other rows, gathered from the working
-form, with each held row's logical fixed at 0; their B^-1 is I from the
-logical basis, else factorised. At each optimum of those rows, every held
-row that the point breaks by more than its row tolerance (below) is
-appended, its logical basic at the negative slack, and B^-1 grows
-blockwise to [[B^-1, 0], [-A_K,B B^-1, I]] for the appended rows K. Their
-duals are 0, so every reduced cost keeps its value and the dual simplex
-goes on from there, with no refactorisation and no pricing. Once no held
-row breaks, phase 2 confirms the point, once; if it pivots onto a point
-that breaks a held row, the LP is solved again as above. The basis returned
-is the restricted basis plus the held rows' logicals, basic at their slack,
-so it starts a solve of the whole LP as any other basis does, and a proven
+Rows held back. A solve from the logical basis holds back the inequality
+rows its start point meets when they number at least four times the other
+rows, as a p-median LP's n^2 linking rows Y_ij <= X_j do; otherwise it
+holds none, and a solve given a start basis (every branch-and-bound child)
+always solves on every row. The dual simplex then runs on the other rows,
+gathered from the working form, with each held row's logical fixed at 0,
+from B^-1 = I. At each optimum of those rows, every held row that the point
+breaks by more than its row tolerance (below) is appended, its logical
+basic at the negative slack, and B^-1 grows blockwise to
+[[B^-1, 0], [-A_K,B B^-1, I]] for the appended rows K. Their duals are 0,
+so every reduced cost keeps its value and the dual simplex goes on from
+there, with no refactorisation and no pricing. Once no held row breaks,
+phase 2 confirms the point, once; if it pivots onto a point that breaks a
+held row, the LP is solved again as above. The basis returned is the
+restricted basis plus the held rows' logicals, basic at their slack, so it
+starts a solve of the whole LP as any other basis does, and a proven
 INFEASIBLE's Farkas row is 0 on the rows still held. An unbounded ray of
 the restricted rows is solved again as above too, and the final check
 below covers every row.
@@ -582,22 +582,16 @@ def _dual_start(A, b, c, lo, hi, basis, Binv):
     return basis, x, Binv, c_dual
 
 
-def _held_rows(A, b, c, lo, hi, basis, m_eq) -> np.ndarray | None:
-    """The inequality rows a solve from `basis` (None for the logical one)
-    holds back: those whose logical is basic in it, less, from the logical
-    basis, every row that basis's start point breaks. None unless there are
-    some, and at least _HOLD_RATIO times as many as the other rows. (A basis
-    that repeats a logical repeats its row here; such a basis is singular,
-    and the LP is solved again from the logical basis on every row.)"""
+def _held_rows(A, b, c, lo, hi, m_eq) -> np.ndarray | None:
+    """The inequality rows a solve from the logical basis holds back, those
+    its start point meets, or None unless there are some and at least
+    _HOLD_RATIO times as many as the other rows."""
     m, n_total = A.shape
     n = n_total - m
     if m - m_eq < _HOLD_RATIO * m_eq:
         return None  # too few inequality rows, were every one held
-    if basis is None:  # the logical basis, at which the reduced costs are c
-        x = _wanted_point(c[:n], lo[:n], hi[:n])
-        held = m_eq + np.flatnonzero(A[m_eq:, :n] @ x <= b[m_eq:])
-    else:
-        held = basis[basis >= n + m_eq] - n
+    x = _wanted_point(c[:n], lo[:n], hi[:n])  # the reduced costs are c at the logical basis
+    held = m_eq + np.flatnonzero(A[m_eq:, :n] @ x <= b[m_eq:])
     if not held.size or held.size < _HOLD_RATIO * (m - held.size):
         return None
     return held
@@ -634,27 +628,21 @@ def _solve_dual(A, b, c, lo, hi, basis, limits, iteration):
     return status, iters, basis, x, y
 
 
-def _solve_restricted(A, b, c, lo, hi, basis, held, limits):
-    """`_solve_dual` from `basis` (None for the logical one) with the rows
-    `held` held back, as the module docstring says: basis, x and y are of
-    the whole working form. The status is None also when the restricted LP
-    has an unbounded ray, or phase 2 moved its point off a held row."""
+def _solve_restricted(A, b, c, lo, hi, held, limits):
+    """`_solve_dual` from the logical basis with the rows `held` held back,
+    as the module docstring says: basis, x and y are of the whole working
+    form. The status is None when the restricted LP has an unbounded ray, or
+    phase 2 moved its point off a held row."""
     m, n_total = A.shape
     n = n_total - m
     fixed = np.zeros(n_total, dtype=bool)  # the held rows' logicals, which rest at 0
     fixed[n + held] = True
     active = np.flatnonzero(~fixed[n:])
     hi = np.where(fixed, 0.0, hi)
-    if basis is None:
-        basis, Binv = n + active, np.eye(active.size)
-    else:
-        basis, Binv = basis[~fixed[basis]], None
     rows_r = np.empty((m, n_total))  # the restricted rows, held ones appended as they break
     rows_r[:active.size] = A[active]
-    start = _dual_start(rows_r[:active.size], b[active], c, lo, hi, basis, Binv)
-    if start is None:
-        return None, 0, None, None, None
-    basis, x, Binv, c_dual = start
+    basis, x, Binv, c_dual = _dual_start(
+        rows_r[:active.size], b[active], c, lo, hi, n + active, np.eye(active.size))
     iters, rows = 0, _broken_rows(A, b, x, fixed[n:])
     while True:
         size, k = basis.size, rows.size
@@ -696,12 +684,12 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     infeasibility or unboundedness).
 
     The solve starts from `lp.basis` (the logical basis if None). The dual
-    simplex, on costs shifted where the start is not dual feasible and on
-    the rows that bind when it holds rows back, reaches a feasible point,
-    and the primal's phase 2 finishes it on the true costs. A singular
-    start, an INFEASIBLE its Farkas row does not prove, or a restricted
-    solve that cannot finish is solved once more from the logical basis on
-    every row; unproven there too, it is NUMERICAL.
+    simplex, on costs shifted where the start is not dual feasible and, from
+    the logical basis, on the rows that bind when it holds rows back,
+    reaches a feasible point, and the primal's phase 2 finishes it on the
+    true costs. A singular start, an INFEASIBLE its Farkas row does not
+    prove, or a restricted solve that cannot finish is solved once more from
+    the logical basis on every row; unproven there too, it is NUMERICAL.
 
     When the optimum is not unique, one optimal basic solution is returned;
     which of the tied vertices that is stays unspecified.
@@ -714,12 +702,13 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     hi = np.concatenate([lp.hi, np.where(np.arange(m) < m_eq, 0.0, math.inf)])
     c = np.concatenate([-lp.c if lp.direction == "max" else lp.c, np.zeros(m)])
 
-    iters, start, held = 0, lp.basis, _held_rows(A, b, c, lo, hi, lp.basis, m_eq)
+    iters, start = 0, lp.basis
+    held = _held_rows(A, b, c, lo, hi, m_eq) if start is None else None
     while True:
         if held is None:
             status, iters, basis, x, y = _solve_dual(A, b, c, lo, hi, start, limits, iters)
         else:
-            status, iters, basis, x, y = _solve_restricted(A, b, c, lo, hi, start, held, limits)
+            status, iters, basis, x, y = _solve_restricted(A, b, c, lo, hi, held, limits)
         if status is Status.INFEASIBLE:
             if _farkas_holds(A, b, lo, hi, y):
                 return LpOutcome(status=status, iterations=iters, farkas=y)

@@ -184,19 +184,27 @@ def _measure(cell: str, what: str, line_no: int, inf_ok: bool = False) -> float:
     return value
 
 
+def _id(cell: str, what: str, line_no: int) -> str:
+    """An id cell's stripped text, which must not be blank."""
+    cell = cell.strip()
+    if not cell:
+        raise DistanceCsvError(f"line {line_no}: {what} id is blank")
+    return cell
+
+
 def parse_distance_matrix(text: str) -> DistanceMatrix:
     """Densify a linear CSV with a header row, whose first three columns are
-    from, to and distance, into a DistanceMatrix; ids keep first-appearance
-    order and every pair must appear exactly once."""
+    from, to and distance, into a DistanceMatrix; ids are the stripped cell
+    text, never blank, and keep first-appearance order, and every pair must
+    appear exactly once."""
     row_of: dict = {}  # from id -> row, in first-appearance order
     col_of: dict = {}  # to id -> column
     entries: dict = {}  # (row, column) -> distance
     for line_no, row in _csv_rows(text):
-        try:
-            f, t, cell = row[0].strip(), row[1].strip(), row[2]
-        except IndexError:
-            raise DistanceCsvError(f"line {line_no}: missing column") from None
-        dist = _measure(cell, "distance", line_no)
+        if len(row) < 3:
+            raise DistanceCsvError(f"line {line_no}: missing column")
+        f, t = _id(row[0], "from", line_no), _id(row[1], "to", line_no)
+        dist = _measure(row[2], "distance", line_no)
         key = (row_of.setdefault(f, len(row_of)), col_of.setdefault(t, len(col_of)))
         if key in entries:
             raise DistanceCsvError(f"line {line_no}: duplicate (from, to) pair ({f}, {t})")
@@ -215,14 +223,15 @@ def parse_distance_matrix(text: str) -> DistanceMatrix:
 
 def parse_network(text: str) -> Network:
     """Network from a CSV with header tail,head,weight[,capacity]; a blank or
-    inf capacity means uncapacitated. Node ids are the stripped cell text, so
-    `01` and `1` are two nodes, and nodes keep first-appearance order."""
+    inf capacity means uncapacitated. Node ids are the stripped cell text,
+    never blank, so `01` and `1` are two nodes, and nodes keep
+    first-appearance order."""
     nodes: dict = {}  # insertion-ordered set
     arcs = []
     for line_no, row in _csv_rows(text):
         if len(row) < 3:
             raise DistanceCsvError(f"line {line_no}: rows need tail,head,weight[,capacity]")
-        tail, head = row[0].strip(), row[1].strip()
+        tail, head = _id(row[0], "tail", line_no), _id(row[1], "head", line_no)
         weight = _measure(row[2], "weight", line_no)
         cap = row[3] if len(row) > 3 else ""
         capacity = _measure(cap, "capacity", line_no, inf_ok=True) if cap.strip() else math.inf

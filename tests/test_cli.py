@@ -395,8 +395,9 @@ class TestNetworkCommands:
             ("maxflow", "1,2", "line 3: rows need tail,head,weight[,capacity]"),
             ("flow-capture", "1,2,nan,", "line 3: weight 'nan' must be finite and non-negative"),
             ("maxflow", "1,2,1,-4", "line 3: capacity '-4' must be non-negative"),
+            ("shortest-path", ",3,5,", "line 3: tail id is blank"),
         ],
-        ids=["non-numeric-weight", "short-row", "nan-weight", "negative-capacity"],
+        ids=["non-numeric-weight", "short-row", "nan-weight", "negative-capacity", "blank-tail"],
     )
     def test_bad_network_row_exits_65(self, tmp_path, command, row, message):
         net = tmp_path / "net.csv"

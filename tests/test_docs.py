@@ -1,4 +1,4 @@
-"""The public surface and the README examples stay runnable."""
+"""The public surface, the README examples and the counts the docs quote stay true."""
 
 import argparse
 import contextlib
@@ -13,7 +13,8 @@ import sys
 import pytest
 
 import pftopt
-from pftopt import Status, cli
+from model_oracles import criterion_8_tours
+from pftopt import Status, branch_bound, cli, models
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
@@ -64,6 +65,23 @@ def test_readme_cli_block_names_every_subcommand():
         if isinstance(action, argparse._SubParsersAction)
     ]
     assert sorted(listed) == sorted(subparsers.choices)
+
+
+def test_the_quoted_tour_counts_hold():
+    """The 20 criterion-8 tour solves (each tour plain and with its arc
+    forced) take the nodes and pivots that README.md and the branch_bound
+    docstring quote; a change to the search updates all three together."""
+    nodes = pivots = 0
+    for d, (i, j) in criterion_8_tours():
+        ids = tuple(range(1, len(d) + 1))
+        mip = models.build_tour(models.DistanceMatrix(from_ids=ids, to_ids=ids, d=d))
+        for out in (branch_bound.solve_mip(mip),
+                    branch_bound.solve_mip(models.force_arc(mip, i + 1, j + 1))):
+            assert out.status is Status.OPTIMAL
+            nodes, pivots = nodes + out.nodes_explored, pivots + out.iterations
+    assert (nodes, pivots) == (101, 882)
+    for text in (README.read_text(), branch_bound.__doc__):
+        assert "take 101 nodes and 882 pivots" in " ".join(text.split())
 
 
 def test_runtime_imports_are_numpy_only():

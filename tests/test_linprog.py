@@ -371,16 +371,6 @@ class TestRowActivation:
         out = solve_mip(build_tour(DistanceMatrix(from_ids=ids, to_ids=ids, d=d)))
         assert out.status is Status.OPTIMAL and out.nodes_explored > 1 and not calls
 
-    def test_a_start_basis_repeating_a_held_logical_runs_the_primal(self, monkeypatch):
-        """The restricted start is singular, so the LP is solved again from
-        the logical basis on every row."""
-        lp = self._box_lp([2.0, 3.0, 4.0, 5.0])
-        calls = self._restricted_runs(monkeypatch)
-        again = _recorded(monkeypatch, "_solve_dual")
-        out = solve_lp(lp.with_bounds(lp.lo, lp.hi, [3, 3, 4, 5, 6]))
-        assert (out.status, out.objective_value) == (Status.OPTIMAL, 1.0)
-        assert len(calls) == 1 and _starts(again) == [None]
-
     def test_a_broken_held_row_is_added(self):
         # x1 <= 0.25 breaks at the restricted optimum x = (1, 0), so it joins
         # the rows, and the optimum moves to (0.25, 0.75).

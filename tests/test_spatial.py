@@ -156,6 +156,14 @@ class TestDistanceMatrix:
         with pytest.raises(DistanceCsvError, match=f"^{message}$"):
             parse_distance_matrix(text)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [(",2,1", "line 3: from id is blank"), ("1, ,1", "line 3: to id is blank")],
+    )
+    def test_blank_id_names_its_line(self, row, message):
+        with pytest.raises(DistanceCsvError, match=f"^{message}$"):
+            parse_distance_matrix(f"f,t,d\n1,1,0\n{row}\n")
+
     def test_first_missing_pair_in_row_major_order(self):
         text = "f,t,d\n1,1,0\n2,3,1\n2,1,5\n"  # (1, 3), (2, 2) are missing
         with pytest.raises(DistanceCsvError, match=r"^missing \(from, to\) pair \(1, 3\)$"):
@@ -202,6 +210,8 @@ class TestParseNetwork:
             ("1,2,1,-1", "line 3: capacity '-1' must be non-negative"),
             ("1,2,1,nan", "line 3: capacity 'nan' must be non-negative"),
             ("1,2,1,big", "line 3: capacity 'big' is not numeric"),
+            (",2,5", "line 3: tail id is blank"),
+            ("1,  ,5", "line 3: head id is blank"),
         ],
     )
     def test_bad_row_names_its_line(self, row, message):
