@@ -2,8 +2,15 @@
 
 Node selection is best-bound (ties by insertion order) and branching picks the
 most-fractional integer variable, so the search is deterministic. Each node
-keeps its parent's optimal basis (m ints), and its LP re-optimises from
-there with the dual simplex. Two rules settle a child before its LP:
+keeps its parent's optimal basis (m ints) and, while the open nodes' share
+stays within _INVERSE_BUDGET bytes, the parent's final basis inverse, one
+read-only array that both children share, with its count of updates since
+its last factorisation. Its LP re-optimises from there with the dual
+simplex: a copy of the carried inverse replaces a factorisation of the
+basis, and the count goes on along the path, so the inverse is factorised
+afresh after every 50th update along it (`linprog`). A parent whose LP held
+rows back carries no inverse, and its children factorise their start. Two
+rules settle a child before its LP:
 
 - Bound propagation (Savelsbergh 1994, ORSA J. Comput. 6; Achterberg 2007,
   Constraint Integer Programming). A child popped from the queue first gets
@@ -127,6 +134,11 @@ def branch(node_relaxation: LpOutcome, mip: MipProblem) -> int | None:
     return int(np.argmax(dist <= dist.min() + 1e-12))
 
 
+# Bytes of basis inverses that the open nodes may carry. Each node is charged
+# its parent's inverse, though siblings share one array, so the memory held
+# stays within the budget; past it, a child factorises its start basis.
+_INVERSE_BUDGET = 64 * 2**20
+
 # A row is unmet when its least activity exceeds b by more than this times
 # the row's scale, max(1, |b| + sum of |a_k v| over the finite root bounds v
 # of its columns); a propagated integer bound is rounded inward past that
@@ -238,7 +250,8 @@ class _Propagator:
         tightened bounds cross: no integer point is left. Else the box with
         each capped integer column's bound tightened to what the room leaves
         it, rounded inward (new arrays where a bound moved); every row's room
-        is taken at the box as given. Continuous bounds never move."""
+        is taken at the box as given. Continuous bounds never move, nor does a
+        bound whose cap overflows to an infinity."""
         if position not in self.rows:
             self._file_rows(position % len(self.integer))
         lo_at, hi_at = lo.item, hi.item
@@ -248,13 +261,19 @@ class _Propagator:
             if room < 0.0:
                 return None
             for k, a in up:
-                bound = math.floor(lo_at(k) + room / a)
+                cap = lo_at(k) + room / a
+                if not math.isfinite(cap):
+                    continue  # room / a overflowed: no finite cap on hi_k
+                bound = math.floor(cap)
                 if bound < new_hi.get(k, hi_at(k)):
                     if bound < new_lo.get(k, lo_at(k)):
                         return None
                     new_hi[k] = bound
             for k, a in down:
-                bound = math.ceil(hi_at(k) + room / a)
+                cap = hi_at(k) + room / a
+                if not math.isfinite(cap):
+                    continue  # room / a overflowed: no finite cap on lo_k
+                bound = math.ceil(cap)
                 if bound > new_lo.get(k, lo_at(k)):
                     if bound > new_hi.get(k, hi_at(k)):
                         return None
@@ -266,8 +285,12 @@ def solve_mip(mip: MipProblem, limits: SolveLimits | None = None) -> MipOutcome:
     """Exact best-bound branch-and-bound over the LP relaxation tree.
 
     Every node LP is `mip.base` with the node's bounds, started from its
-    parent's optimal basis (`with_bounds(lo, hi, basis)`); the first node is
-    the root, with the bounds and start of `mip.base`. An UNBOUNDED node LP
+    parent's optimal basis and, when the parent handed one on and the
+    budget allows, its final basis inverse; the first node is the root,
+    with the bounds and start of `mip.base`. The node LPs are made by
+    `LinearProgram._node`, which shares every array of `mip.base` and takes
+    the bounds as given: they come from floor and ceil of a checked point
+    and from propagation inside the checked root box. An UNBOUNDED node LP
     ends the solve UNBOUNDED. A node LP that ends unresolved (ITERATION_LIMIT or
     NUMERICAL) leaves its subtree open: the search goes on, and the solve
     ends with that status instead of OPTIMAL or INFEASIBLE, with best_bound
@@ -289,12 +312,17 @@ def solve_mip(mip: MipProblem, limits: SolveLimits | None = None) -> MipOutcome:
     nodes = iterations = counter = 0
     integral = _integral_objective(mip)
     propagator = None  # made at the first branching
-    # A node is (bound, counter, lo, hi, basis, moved): basis its parent's
-    # optimal one, moved the position its parent's branching moved in the
-    # box [lo; hi] (i for lo_i, n + i for hi_i, -1 at the root).
-    heap = [(-math.inf, counter, base.lo, base.hi, base.basis, -1)]
+    carried = 0  # bytes of basis inverses charged to the open nodes
+    # A node is (bound, counter, lo, hi, basis, inverse, updates, moved):
+    # basis its parent's optimal one, inverse None or the parent's final
+    # B^-1 of it with its updates since the last factorisation, and moved
+    # the position its parent's branching moved in the box [lo; hi] (i for
+    # lo_i, n + i for hi_i, -1 at the root).
+    heap = [(-math.inf, counter, base.lo, base.hi, base.basis, None, 0, -1)]
     while heap:
-        bound, _, lo, hi, basis, moved = heapq.heappop(heap)
+        bound, _, lo, hi, basis, inverse, updates, moved = heapq.heappop(heap)
+        if inverse is not None:
+            carried -= inverse.nbytes
         if bound >= incumbent_obj - 1e-9:
             continue  # pruned by the incumbent
         if nodes >= limits.max_nodes:
@@ -306,7 +334,7 @@ def solve_mip(mip: MipProblem, limits: SolveLimits | None = None) -> MipOutcome:
             if box is None:
                 continue  # no integer point left: infeasible, settled without an LP
             lo, hi = box
-        outcome = solve_lp(base.with_bounds(lo, hi, basis), limits)
+        outcome = solve_lp(base._node(lo, hi, basis, inverse, updates), limits)
         nodes += 1
         iterations += outcome.iterations
         if outcome.status is Status.UNBOUNDED:
@@ -334,11 +362,17 @@ def solve_mip(mip: MipProblem, limits: SolveLimits | None = None) -> MipOutcome:
         down_hi[i] = math.floor(outcome.x[i])
         up_lo = lo.copy()
         up_lo[i] = math.ceil(outcome.x[i])
+        inverse, updates = outcome.basis_inverse, outcome.inverse_updates
         for child_lo, child_hi, moved in ((lo, down_hi, base.num_vars + i), (up_lo, hi, i)):
             if child_lo[i] > child_hi[i]:
                 continue  # a fractional bound left this side no integer: infeasible
             counter += 1
-            heapq.heappush(heap, (value, counter, child_lo, child_hi, outcome.basis, moved))
+            if inverse is not None and carried + inverse.nbytes > _INVERSE_BUDGET:
+                inverse = None  # past the budget: the child factorises its basis
+            if inverse is not None:
+                carried += inverse.nbytes
+            heapq.heappush(heap, (value, counter, child_lo, child_hi, outcome.basis, inverse,
+                                  updates, moved))
 
     if incumbent is None:
         return MipOutcome(

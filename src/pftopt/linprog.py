@@ -81,12 +81,19 @@ status is NUMERICAL.
 OPTIMAL `LpOutcome.basis` is the final basis.
 
 A solve keeps one basis inverse through every loop and phase. It starts as
-I for the logical basis, or is factorised from the start basis, grows
-blockwise as held rows are appended, and is factorised afresh after every
-50th pivot of the solve; every other pivot of either loop updates it with
-one rank-1 (product-form) correction in one shared step (`_pivot`), so a
-pivot costs matrix-vector products, O(m * (m + n)), rather than dense
-solves, O(m^3).
+I for the logical basis, as a copy of the inverse the LP carries with its
+start basis (a branch-and-bound child carries its parent's final one), or
+is factorised from the start basis; it grows blockwise as held rows are
+appended. Each basis change of either loop updates it with one rank-1
+(product-form) correction in one shared step (`_pivot`), so a pivot costs
+matrix-vector products, O(m * (m + n)), rather than dense solves, O(m^3).
+The updates are counted since the last factorisation, and the count
+travels with a carried inverse, so along a branch-and-bound path the
+inverse is factorised afresh after every 50th update, whichever solves
+made them; a start from I or from a fresh factorisation counts from 0. An
+OPTIMAL solve on every row, made once, hands its final inverse and count on
+(`LpOutcome.basis_inverse`); a restricted solve, a solve made again and
+every other status hand on none.
 
 Primal pricing reads each column's moves off x and its bounds: a nonbasic
 column may rise while x < hi and fall while x > lo, and its violation is the
@@ -212,13 +219,20 @@ class LinearProgram:
     lo <= x <= hi the bounds, where -inf/+inf mark free sides. Absent rows
     are empty blocks and absent bounds default to [0, inf). Every array is
     copied and checked once, when the problem is made; `with_bounds` shares
-    them. `working` is the simplex's working form [A_eq; A_ub | I], and the
-    row blocks are views of it, so the rows are stored once. `basis` is the
-    basis a solve starts from, None for the logical one; only `with_bounds`
-    sets another. `eq_rows` and `ub_rows` give the rows back as
-    (coefficients, rhs) tuples, computed when read; read the arrays instead.
-    They remain only because the benchmark's tracer (bench/tracing.py)
-    counts rows with them.
+    them. The fields after `direction` are made, not given. `working` is the
+    simplex's working form [A_eq; A_ub | I], and the row blocks are views of
+    it, so the rows are stored once. A solve's other vectors are made once
+    too: `b` is [b_eq; b_ub], `c_min` the costs over the working columns in
+    min sense (negated for max, 0 on the logicals), and `logical_hi` the
+    logicals' upper bounds (0 on an equality row, inf on an inequality
+    row). `basis` is the basis a solve starts from, None for the logical
+    one; only `with_bounds` sets another. `basis_inverse` is None, or B^-1
+    of `basis`, with `inverse_updates` the rank-1 updates it has had since
+    its last factorisation; a solve copies it instead of factorising B.
+    Only `solve_mip`'s node LPs carry one. `eq_rows` and `ub_rows` give the
+    rows back as (coefficients, rhs) tuples, computed when read; read the
+    arrays instead. They remain only because the benchmark's tracer
+    (bench/tracing.py) counts rows with them.
     """
 
     c: np.ndarray
@@ -230,7 +244,12 @@ class LinearProgram:
     hi: np.ndarray | None = None
     direction: str = "min"
     working: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
+    c_min: np.ndarray = field(init=False, repr=False)
+    logical_hi: np.ndarray = field(init=False, repr=False)
     basis: np.ndarray | None = field(default=None, init=False, repr=False)
+    basis_inverse: np.ndarray | None = field(default=None, init=False, repr=False)
+    inverse_updates: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         c = _frozen(self.c)
@@ -257,17 +276,21 @@ class LinearProgram:
         working[np.arange(m), n + np.arange(m)] = 1.0
         working.flags.writeable = False
         A_eq, A_ub = working[:m_eq, :n], working[m_eq:, :n]
-        names = ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi", "working")
-        for name, value in zip(names, (c, A_eq, b_eq, A_ub, b_ub, lo, hi, working)):
+        b = _frozen(np.concatenate([b_eq, b_ub]))
+        c_min = _frozen(np.concatenate([-c if self.direction == "max" else c, np.zeros(m)]))
+        logical_hi = _frozen(np.where(np.arange(m) < m_eq, 0.0, math.inf))
+        names = ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi", "working", "b", "c_min",
+                 "logical_hi")
+        values = (c, A_eq, b_eq, A_ub, b_ub, lo, hi, working, b, c_min, logical_hi)
+        for name, value in zip(names, values):
             object.__setattr__(self, name, value)
 
     def with_bounds(self, lo, hi, basis=None) -> "LinearProgram":
         """The same problem with new bounds, whose solve starts from `basis`:
         one working-form column per row, such as `LpOutcome.basis` of a
         solve of this problem, or None for the logical basis. Objective and
-        rows are shared, not copied; only the new bounds are checked."""
-        lp = object.__new__(type(self))
-        lp.__dict__.update(self.__dict__)
+        rows are shared, not copied; the new bounds and the basis are
+        checked, and the solve factorises the basis afresh."""
         lo, hi = _checked_bounds(lo, hi, self.num_vars)
         if basis is not None:
             basis = np.asarray(basis)
@@ -275,9 +298,20 @@ class LinearProgram:
             if (basis.shape != (m,) or (m and basis.dtype.kind not in "iu")
                     or basis.min(initial=0) < 0 or basis.max(initial=0) >= n_total):
                 raise MalformedProblemError(f"a basis holds {m} working-form column indices")
-        object.__setattr__(lp, "lo", lo)
-        object.__setattr__(lp, "hi", hi)
-        object.__setattr__(lp, "basis", basis)
+        return self._node(lo, hi, basis)
+
+    def _node(self, lo, hi, basis, basis_inverse=None, inverse_updates=0) -> "LinearProgram":
+        """`with_bounds` for bounds and a start taken as given, with no copy
+        and no check: float arrays of length n, which are made read-only in
+        place and must lie within this problem's checked bounds, a basis of
+        this problem, and None or its read-only inverse with the updates it
+        has had since its last factorisation. `solve_mip` makes its node LPs
+        with it: their bounds come from floor and ceil of a checked point
+        and from propagation inside a checked box."""
+        lo.flags.writeable = hi.flags.writeable = False
+        lp = object.__new__(type(self))
+        lp.__dict__.update(self.__dict__, lo=lo, hi=hi, basis=basis, basis_inverse=basis_inverse,
+                           inverse_updates=inverse_updates)
         return lp
 
     @property
@@ -299,7 +333,11 @@ class LinearProgram:
 class LpOutcome:
     """What a solve found. At OPTIMAL, `basis` is the final basis: one
     working-form column per row, to start a solve of the same rows under
-    other bounds from (`LinearProgram.with_bounds`). At an INFEASIBLE the
+    other bounds from (`LinearProgram.with_bounds`). An OPTIMAL solve on
+    every row, made once, also hands on `basis_inverse`, the final B^-1 of
+    that basis, read-only, and `inverse_updates`, the rank-1 updates it has
+    had since it was last factorised; any other solve leaves them None and
+    0 (module docstring). At an INFEASIBLE the
     dual simplex proved, `farkas` is its proof: y over the rows (A_eq's,
     then A_ub's) such that y (A x + s) > y b for every x within its bounds
     and logical s within its own ([0, 0] on an equality row, [0, inf) on an
@@ -311,6 +349,8 @@ class LpOutcome:
     iterations: int = 0  # simplex pivots made, whatever the status
     basis: np.ndarray | None = None
     farkas: np.ndarray | None = None
+    basis_inverse: np.ndarray | None = None
+    inverse_updates: int = 0
 
 
 _SENSE_FLIP = {"le": 1.0, "ge": -1.0}
@@ -332,8 +372,9 @@ def split_senses(A, senses, b) -> tuple:
     return A[eq], b[eq], flip[:, None] * A[~eq], flip * b[~eq]
 
 
-# Pivots of a solve between refactorisations of its basis inverse: each
-# rank-1 update adds roundoff, and a fresh inverse costs about m updates.
+# Rank-1 updates of a basis inverse between its factorisations, counted
+# along a branch-and-bound path: each update adds roundoff, and a fresh
+# inverse costs about m updates.
 _REFACTOR_EVERY = 50
 # A Farkas row's coefficient counts as zero within this share of its largest.
 _FARKAS_ZERO = 1e-9
@@ -353,27 +394,41 @@ def _violations(d, x, lo, hi, basis) -> np.ndarray:
     return viol
 
 
-def _pivot(A, basis, x, Binv, q, w, move, r, x_out, iteration) -> bool:
+class _Inverse:
+    """B^-1 of a solve's current basis, `matrix`, and the rank-1 updates it
+    has had since it was last factorised, `updates`. A pivot changes the
+    matrix in place; only a grown restricted basis replaces it."""
+
+    __slots__ = ("matrix", "updates")
+
+    def __init__(self, matrix: np.ndarray, updates: int = 0) -> None:
+        self.matrix, self.updates = matrix, updates
+
+
+def _pivot(A, basis, x, inverse, q, w, move, r, x_out) -> bool:
     """The step both simplex loops take. Column q moves by `move` and x_B by
-    -move * w, where w = Binv A_q. With r >= 0 the basic variable of row r
-    leaves at its bound x_out, q takes its row, and Binv gets the
-    product-form update (row r divided by w[r], a rank-1 correction of the
-    others); with r < 0, q ran to its other bound x_out (a bound flip) and
-    the basis stays. `iteration` counts this pivot: after every
-    _REFACTOR_EVERY-th pivot of the solve Binv is factorised afresh. Returns
-    False if B is singular then."""
+    -move * w, where w = B^-1 A_q. With r >= 0 the basic variable of row r
+    leaves at its bound x_out, q takes its row, and B^-1 (`inverse`) gets
+    the product-form update (row r divided by w[r], a rank-1 correction of
+    the others); after its _REFACTOR_EVERY-th update since the last
+    factorisation it is factorised afresh. With r < 0, q ran to its other
+    bound x_out (a bound flip) and the basis and B^-1 stay. Returns False if
+    B is singular at a factorisation."""
     x[q] += move
     x[basis] -= move * w
     if r < 0:
         x[q] = x_out
-    else:
-        x[basis[r]] = x_out
-        basis[r] = q
-        row = Binv[r] / w[r]
-        Binv -= np.outer(w, row)
-        Binv[r] = row
-    if iteration % _REFACTOR_EVERY:
         return True
+    x[basis[r]] = x_out
+    basis[r] = q
+    Binv = inverse.matrix
+    row = Binv[r] / w[r]
+    Binv -= w[:, None] * row
+    Binv[r] = row
+    inverse.updates += 1
+    if inverse.updates < _REFACTOR_EVERY:
+        return True
+    inverse.updates = 0
     np.take(A, basis, axis=1, out=Binv)  # B in Binv's buffer: no extra m x m copy
     try:
         Binv[...] = np.linalg.inv(Binv)
@@ -382,7 +437,7 @@ def _pivot(A, basis, x, Binv, q, w, move, r, x_out, iteration) -> bool:
     return True
 
 
-def _run_simplex(A, c, lo, hi, basis, x, Binv, limits, iteration):
+def _run_simplex(A, c, lo, hi, basis, x, inverse, limits, iteration):
     """Minimize c.x over Ax = b, lo <= x <= hi from the basic solution x.
 
     `basis` holds one column index per row. Every nonbasic x equals one of
@@ -391,18 +446,19 @@ def _run_simplex(A, c, lo, hi, basis, x, Binv, limits, iteration):
     while x > lo. A column may enter if its reduced cost d_j improves a move
     it has: by -d_j upwards, by d_j downwards. That one rule covers columns
     at a lower or an upper bound, free columns (both ways) and fixed ones
-    (neither). Mutates basis, x and Binv in place. Returns (status,
+    (neither). Mutates basis, x and the inverse in place. Returns (status,
     iterations), where iterations goes on from `iteration` and counts every
     pivot made: OPTIMAL, ITERATION_LIMIT, UNBOUNDED on an unblocked improving
     ray, or NUMERICAL on a singular basis.
 
-    Binv is the inverse of A[:, basis], carried from one call of a solve to
-    the next, and each pivot updates it (`_pivot`), so a pivot costs
-    matrix-vector products only: the duals y = c_B Binv and the entering
-    column w = Binv A_j. A pivot whose step times the entering violation
-    improves c.x by at most _OPTIMALITY_TOL makes no progress.
+    `inverse` holds Binv, the inverse of A[:, basis], carried from one call
+    of a solve to the next, and each pivot updates it (`_pivot`), so a pivot
+    costs matrix-vector products only: the duals y = c_B Binv and the
+    entering column w = Binv A_j. A pivot whose step times the entering
+    violation improves c.x by at most _OPTIMALITY_TOL makes no progress.
     """
     m, n_total = A.shape
+    Binv = inverse.matrix  # changed in place by every pivot
     stall_after = 3 * (n_total + m)  # 3 (n + 2 m) for n variables and m rows
     stall = -1  # the first pivot never counts as a stall
     while iteration < limits.max_iterations:
@@ -442,12 +498,12 @@ def _run_simplex(A, c, lo, hi, basis, x, Binv, limits, iteration):
             return Status.UNBOUNDED, iteration
         stall = stall + 1 if float(t) * float(viol[j_in]) <= _OPTIMALITY_TOL else 0
         iteration += 1
-        if not _pivot(A, basis, x, Binv, j_in, w, sigma * t, leave_pos, x_out, iteration):
+        if not _pivot(A, basis, x, inverse, j_in, w, sigma * t, leave_pos, x_out):
             return Status.NUMERICAL, iteration
     return Status.ITERATION_LIMIT, iteration
 
 
-def _run_dual(A, c, lo, hi, basis, x, Binv, limits, iteration):
+def _run_dual(A, c, lo, hi, basis, x, inverse, limits, iteration):
     """Minimize c.x over Ax = b, lo <= x <= hi from a dual feasible basic
     solution x: no nonbasic column's move improves c.x (`_violations`), so
     only basic variables may break their bounds.
@@ -471,6 +527,7 @@ def _run_dual(A, c, lo, hi, basis, x, Binv, limits, iteration):
     on a singular refactorisation. y is None but for INFEASIBLE.
     """
     m, n_total = A.shape
+    Binv = inverse.matrix  # changed in place by every pivot
     stall_after = 3 * (n_total + m)
     stall = -1
     # Which way each nonbasic column may move; a basic column neither.
@@ -512,7 +569,7 @@ def _run_dual(A, c, lo, hi, basis, x, Binv, limits, iteration):
         bound = hi[p] if above else lo[p]
         stall = stall + 1 if float(least) * float(excess[r]) <= _OPTIMALITY_TOL else 0
         iteration += 1
-        if not _pivot(A, basis, x, Binv, q, w, (x[p] - bound) / w[r], r, bound, iteration):
+        if not _pivot(A, basis, x, inverse, q, w, (x[p] - bound) / w[r], r, bound):
             return Status.NUMERICAL, iteration, None
         rise[q] = fall[q] = False
         rise[p], fall[p] = bound < hi[p], bound > lo[p]
@@ -557,29 +614,31 @@ def _wanted_point(d, lo, hi) -> np.ndarray:
     return np.where((d < -_OPTIMALITY_TOL) & np.isfinite(hi), hi, lower)
 
 
-def _dual_start(A, b, c, lo, hi, basis, Binv):
-    """(basis, x, Binv, c_dual) of a dual feasible start from `basis`, or
+def _dual_start(A, b, c, lo, hi, basis, inverse):
+    """(basis, x, inverse, c_dual) of a dual feasible start from `basis`, or
     None for a singular basis.
 
-    Binv is the basis's inverse, I for a logical basis, or None to factorise
-    it afresh. Each nonbasic column sits at the bound its reduced cost wants
+    `inverse` is the basis's `_Inverse`: I for a logical basis, a copy of a
+    carried one, or None to factorise it afresh, with a count of 0. Each
+    nonbasic column sits at the bound its reduced cost wants
     (`_wanted_point`). A column whose move still improves c.x by more than
     _OPTIMALITY_TOL there (a free column, or a cost that points at an
     infinite bound) has its cost shifted by -d_j in c_dual, so that its
     reduced cost is 0.
     """
-    if Binv is None:
+    if inverse is None:
         try:
-            Binv = np.linalg.inv(A[:, basis])
+            inverse = _Inverse(np.linalg.inv(A[:, basis]))
         except np.linalg.LinAlgError:
             return None
+    Binv = inverse.matrix
     d = c - (c[basis] @ Binv) @ A
     x = _wanted_point(d, lo, hi)
     shift = _violations(d, x, lo, hi, basis) > _OPTIMALITY_TOL
     c_dual = np.where(shift, c - d, c)
     x[basis] = 0.0
     x[basis] = Binv @ (b - A @ x)
-    return basis, x, Binv, c_dual
+    return basis, x, inverse, c_dual
 
 
 def _held_rows(A, b, c, lo, hi, m_eq) -> np.ndarray | None:
@@ -607,25 +666,27 @@ def _broken_rows(A, b, x, held) -> np.ndarray:
     return rows[excess[rows] > _row_tol(A[rows], b[rows], x)]
 
 
-def _solve_dual(A, b, c, lo, hi, basis, limits, iteration):
-    """(status, iterations, basis, x, y) of the dual simplex from `basis`
-    (None for the logical one) on the costs `_dual_start` shifts, and of
-    phase 2 from its point on the true costs c. Iterations go on from
-    `iteration`. y is the Farkas row at INFEASIBLE. The status is None when
-    the start basis is singular."""
+def _solve_dual(A, b, c, lo, hi, basis, inverse, limits, iteration):
+    """(status, iterations, basis, x, y, inverse) of the dual simplex from
+    `basis` (None for the logical one) on the costs `_dual_start` shifts,
+    and of phase 2 from its point on the true costs c. `inverse` is the
+    start basis's `_Inverse`, or None to factorise it (`_dual_start`); the
+    one returned is the final basis's. Iterations go on from `iteration`. y
+    is the Farkas row at INFEASIBLE. The status is None when the start
+    basis is singular."""
     m, n_total = A.shape
     if basis is None:
-        basis, Binv = n_total - m + np.arange(m), np.eye(m)
+        basis, inverse = n_total - m + np.arange(m), _Inverse(np.eye(m))
     else:
-        basis, Binv = np.array(basis), None
-    start = _dual_start(A, b, c, lo, hi, basis, Binv)
+        basis = np.array(basis)
+    start = _dual_start(A, b, c, lo, hi, basis, inverse)
     if start is None:
-        return None, iteration, None, None, None
-    basis, x, Binv, c_dual = start
-    status, iters, y = _run_dual(A, c_dual, lo, hi, basis, x, Binv, limits, iteration)
+        return None, iteration, None, None, None, None
+    basis, x, inverse, c_dual = start
+    status, iters, y = _run_dual(A, c_dual, lo, hi, basis, x, inverse, limits, iteration)
     if status is Status.OPTIMAL:
-        status, iters = _run_simplex(A, c, lo, hi, basis, x, Binv, limits, iters)
-    return status, iters, basis, x, y
+        status, iters = _run_simplex(A, c, lo, hi, basis, x, inverse, limits, iters)
+    return status, iters, basis, x, y, inverse
 
 
 def _solve_restricted(A, b, c, lo, hi, held, limits):
@@ -641,8 +702,8 @@ def _solve_restricted(A, b, c, lo, hi, held, limits):
     hi = np.where(fixed, 0.0, hi)
     rows_r = np.empty((m, n_total))  # the restricted rows, held ones appended as they break
     rows_r[:active.size] = A[active]
-    basis, x, Binv, c_dual = _dual_start(
-        rows_r[:active.size], b[active], c, lo, hi, n + active, np.eye(active.size))
+    basis, x, inverse, c_dual = _dual_start(
+        rows_r[:active.size], b[active], c, lo, hi, n + active, _Inverse(np.eye(active.size)))
     iters, rows = 0, _broken_rows(A, b, x, fixed[n:])
     while True:
         size, k = basis.size, rows.size
@@ -650,15 +711,15 @@ def _solve_restricted(A, b, c, lo, hi, held, limits):
             new = rows_r[size:size + k]
             np.take(A, rows, axis=0, out=new)
             grown = np.eye(size + k)  # [[B^-1, 0], [-A_K,B B^-1, I]]
-            grown[:size, :size] = Binv
-            grown[size:, :size] = -(new[:, basis] @ Binv)
-            Binv, logicals = grown, n + rows
+            grown[:size, :size] = inverse.matrix
+            grown[size:, :size] = -(new[:, basis] @ inverse.matrix)
+            inverse.matrix, logicals = grown, n + rows  # its updates go on counting
             basis = np.concatenate([basis, logicals])
             active = np.concatenate([active, rows])
             fixed[logicals], hi[logicals] = False, math.inf
             x[logicals] = b[rows] - new @ x
         A_r = rows_r[:size + k]
-        status, iters, y = _run_dual(A_r, c_dual, lo, hi, basis, x, Binv, limits, iters)
+        status, iters, y = _run_dual(A_r, c_dual, lo, hi, basis, x, inverse, limits, iters)
         if status is not Status.OPTIMAL:
             break
         rows = _broken_rows(A, b, x, fixed[n:])
@@ -666,7 +727,7 @@ def _solve_restricted(A, b, c, lo, hi, held, limits):
             break
     if status is Status.OPTIMAL:
         dual_iters = iters
-        status, iters = _run_simplex(A_r, c, lo, hi, basis, x, Binv, limits, iters)
+        status, iters = _run_simplex(A_r, c, lo, hi, basis, x, inverse, limits, iters)
         moved = status is Status.OPTIMAL and iters > dual_iters
         if status is Status.UNBOUNDED or moved and _broken_rows(A, b, x, fixed[n:]).size:
             return None, iters, None, None, None
@@ -683,30 +744,36 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
     """Solve an LP, returning a status-coded outcome (never raising on
     infeasibility or unboundedness).
 
-    The solve starts from `lp.basis` (the logical basis if None). The dual
-    simplex, on costs shifted where the start is not dual feasible and, from
-    the logical basis, on the rows that bind when it holds rows back,
-    reaches a feasible point, and the primal's phase 2 finishes it on the
-    true costs. A singular start, an INFEASIBLE its Farkas row does not
-    prove, or a restricted solve that cannot finish is solved once more from
-    the logical basis on every row; unproven there too, it is NUMERICAL.
+    The solve starts from `lp.basis` (the logical basis if None), with a
+    copy of `lp.basis_inverse` as its B^-1 when the LP carries one, else
+    with B factorised. The dual simplex, on costs shifted where the start
+    is not dual feasible and, from the logical basis, on the rows that bind
+    when it holds rows back, reaches a feasible point, and the primal's
+    phase 2 finishes it on the true costs. A singular start, an INFEASIBLE
+    its Farkas row does not prove, or a restricted solve that cannot finish
+    is solved once more from the logical basis on every row; unproven there
+    too, it is NUMERICAL. b, the min-sense costs and the logicals' bounds
+    are the LP's own (`LinearProgram.b`, `c_min`, `logical_hi`); only the
+    node's bounds are joined to the logical ones. An OPTIMAL first solve on
+    every row hands its final B^-1 on (`LpOutcome.basis_inverse`).
 
     When the optimum is not unique, one optimal basic solution is returned;
     which of the tied vertices that is stays unspecified.
     """
     limits = limits or SolveLimits()
-    A, n, m_eq = lp.working, lp.num_vars, lp.b_eq.size
-    m = A.shape[0]
-    b = np.concatenate([lp.b_eq, lp.b_ub])
-    lo = np.concatenate([lp.lo, np.zeros(m)])
-    hi = np.concatenate([lp.hi, np.where(np.arange(m) < m_eq, 0.0, math.inf)])
-    c = np.concatenate([-lp.c if lp.direction == "max" else lp.c, np.zeros(m)])
+    A, b, c, n = lp.working, lp.b, lp.c_min, lp.num_vars
+    lo = np.concatenate([lp.lo, np.zeros(b.size)])
+    hi = np.concatenate([lp.hi, lp.logical_hi])
 
-    iters, start = 0, lp.basis
-    held = _held_rows(A, b, c, lo, hi, m_eq) if start is None else None
+    iters, start, inverse = 0, lp.basis, None
+    if lp.basis_inverse is not None:
+        inverse = _Inverse(lp.basis_inverse.copy(), lp.inverse_updates)
+    held = _held_rows(A, b, c, lo, hi, lp.b_eq.size) if start is None else None
+    hand_on = held is None  # only a first solve on every row hands its inverse on
     while True:
         if held is None:
-            status, iters, basis, x, y = _solve_dual(A, b, c, lo, hi, start, limits, iters)
+            status, iters, basis, x, y, inverse = _solve_dual(
+                A, b, c, lo, hi, start, inverse, limits, iters)
         else:
             status, iters, basis, x, y = _solve_restricted(A, b, c, lo, hi, held, limits)
         if status is Status.INFEASIBLE:
@@ -715,7 +782,8 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
             status = None  # unproven
         if status is not None or (start is None and held is None):
             break
-        start = held = None  # once more, from the logical basis on every row
+        start = held = inverse = None  # once more, from the logical basis on every row
+        hand_on = False
     if status is None:
         status = Status.NUMERICAL
     scale = float(np.abs(b).max(initial=1.0))
@@ -728,4 +796,8 @@ def solve_lp(lp: LinearProgram, limits: SolveLimits | None = None) -> LpOutcome:
         value = float(lp.c @ x)
     if not math.isfinite(value):  # finite c and x, but c.x overflowed
         return LpOutcome(status=Status.NUMERICAL, iterations=iters)
-    return LpOutcome(status=status, x=x, objective_value=value, iterations=iters, basis=basis)
+    if not hand_on:
+        return LpOutcome(status=status, x=x, objective_value=value, iterations=iters, basis=basis)
+    inverse.matrix.flags.writeable = False
+    return LpOutcome(status=status, x=x, objective_value=value, iterations=iters, basis=basis,
+                     basis_inverse=inverse.matrix, inverse_updates=inverse.updates)

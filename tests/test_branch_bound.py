@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pftopt import branch_bound, models
+from model_oracles import criterion_8_tours
+from pftopt import branch_bound, linprog, models
 from pftopt.branch_bound import MipProblem, VarKind, branch, solve_mip
 from pftopt.linprog import (
     LinearProgram,
@@ -452,6 +453,26 @@ class TestPropagation:
         assert box is not None
         assert box[0].tolist() == box[1].tolist() == [1.0] * 4
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["up", "down"])
+    def test_a_cap_that_overflows_leaves_the_bound(self, sign):
+        # max x + 1.5y s.t. 1e-300 x + y <= 1e10 (negated for "down"),
+        # x + 2y <= 27, x and y integer in [0, 10]. The root is x = 10,
+        # y = 8.5, so it branches on y, and the first row's room over
+        # 1e-300 caps x at +inf (up) or -inf (down): no finite bound, so x
+        # keeps its own. HiGHS gives 22.5 at (9, 9).
+        from test_differential import _highs_mip
+
+        mip = _mip(
+            [1.0, 1.5],
+            [([sign * 1e-300, sign * 1.0], "le", 1e10), ([1.0, 2.0], "le", 27.0)],
+            [(0.0, 10.0)] * 2,
+            [VarKind.INTEGER] * 2,
+            "max",
+        )
+        out = solve_mip(mip)
+        assert (out.status, out.objective_value) == (Status.OPTIMAL, 22.5)
+        assert _highs_mip(mip.base, mip.kinds) == (Status.OPTIMAL, pytest.approx(22.5))
+
 
 class TestIntegralObjective:
     # min 4x0 + 6x1 + x2 + 5x3 s.t. 5x0 + 6x1 + 6x2 + 2x3 >= 9, binary: the
@@ -550,3 +571,136 @@ class TestNodeAccounting:
             assert lp.A_eq is root.A_eq and lp.b_eq is root.b_eq
             assert lp.A_ub is root.A_ub and lp.b_ub is root.b_ub
             assert lp.working is root.working
+            assert lp.b is root.b and lp.c_min is root.c_min and lp.logical_hi is root.logical_hi
+
+
+def _criterion_8_tours():
+    """The 20 tour solves of acceptance criterion 8: each tour plain and
+    with its arc forced."""
+    for d, (i, j) in criterion_8_tours():
+        ids = tuple(range(1, len(d) + 1))
+        mip = models.build_tour(models.DistanceMatrix(from_ids=ids, to_ids=ids, d=d))
+        yield mip
+        yield models.force_arc(mip, i + 1, j + 1)
+
+
+def _count_inv(monkeypatch):
+    """Count every later call of np.linalg.inv, which still runs."""
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda M: calls.append(M.shape) or inv(M))
+    return calls
+
+
+class TestCarriedInverse:
+    """A child LP starts from its parent's final basis inverse."""
+
+    @staticmethod
+    def _tour_answers():
+        """(answers, factorised starts, np.linalg.inv calls) of the 20 tour
+        solves; a start is factorised when `_dual_start` gets no inverse."""
+        starts, dual_start = [], linprog._dual_start
+
+        def recording(A, b, c, lo, hi, basis, inverse):
+            starts.append(inverse is None)
+            return dual_start(A, b, c, lo, hi, basis, inverse)
+
+        with pytest.MonkeyPatch.context() as patch:
+            inv_calls = _count_inv(patch)
+            patch.setattr(linprog, "_dual_start", recording)
+            answers = []
+            for mip in _criterion_8_tours():
+                out = solve_mip(mip)
+                answers.append((out.status, out.objective_value, out.nodes_explored,
+                                out.iterations))
+        return answers, sum(starts), len(inv_calls)
+
+    def test_no_tour_child_factorises_its_start(self, monkeypatch):
+        """81 of the 101 node LPs are children. Each carries its parent's
+        inverse and factorises nothing at its start; the 6 factorisations
+        left are paths, their root LP included, reaching 50 updates. With no
+        byte budget, every child factorises its start, as before, and every
+        answer is the same."""
+        answers, starts, inv_calls = self._tour_answers()
+        assert sum(nodes for *_, nodes, _ in answers) == 101
+        assert (starts, inv_calls) == (0, 6)
+        monkeypatch.setattr(branch_bound, "_INVERSE_BUDGET", 0)
+        assert self._tour_answers() == (answers, 81, 81)
+
+    def test_the_update_count_travels_along_each_path(self, monkeypatch):
+        """Refactorising after every 5th update, each node LP factorises as
+        often as the updates it carried and made reach 5, and hands the rest
+        on: a path is refactorised even where each of its LPs makes fewer
+        than 5 pivots. The answers stay as they are."""
+        mips = list(_criterion_8_tours())
+        expected = [solve_mip(mip).objective_value for mip in mips]
+        monkeypatch.setattr(linprog, "_REFACTOR_EVERY", 5)
+        inv_calls = _count_inv(monkeypatch)
+        original, short_refactorised = branch_bound.solve_lp, []
+
+        def checking(lp, limits=None):
+            before = len(inv_calls)
+            out = original(lp, limits)
+            carried = lp.inverse_updates if lp.basis_inverse is not None else 0
+            starts = lp.basis is not None and lp.basis_inverse is None
+            total = carried + out.iterations  # every tour pivot is a basis change
+            assert len(inv_calls) - before == starts + total // 5
+            if out.status is Status.OPTIMAL:
+                assert out.inverse_updates == total % 5
+                if out.iterations < 5 and total >= 5:
+                    short_refactorised.append(lp)
+            return out
+
+        monkeypatch.setattr(branch_bound, "solve_lp", checking)
+        assert [solve_mip(mip).objective_value for mip in mips] == expected
+        assert short_refactorised
+
+    def test_each_child_solves_as_from_its_checked_basis(self, monkeypatch):
+        """The inverse a child carries is read-only, and solving it leaves
+        the array its sibling shares unchanged. Each child ends with the
+        status, pivots and point (at OPTIMAL) of a solve from
+        `with_bounds(lo, hi, basis)`, which factorises the basis afresh."""
+        calls, original = [], branch_bound.solve_lp
+
+        def recording(lp, limits=None):
+            carried = lp.basis_inverse
+            kept = None if carried is None else carried.copy()
+            out = original(lp, limits)
+            if carried is not None:
+                assert not carried.flags.writeable and np.array_equal(carried, kept)
+            calls.append((lp, out))
+            return out
+
+        monkeypatch.setattr(branch_bound, "solve_lp", recording)
+        for mip in _criterion_8_tours():
+            solve_mip(mip)
+        children = [(lp, out) for lp, out in calls if lp.basis_inverse is not None]
+        assert len(children) == 81
+        for lp, out in children:
+            fresh = solve_lp(lp.with_bounds(lp.lo, lp.hi, lp.basis))
+            assert (out.status, out.iterations) == (fresh.status, fresh.iterations)
+            if out.status is Status.OPTIMAL:
+                np.testing.assert_allclose(out.x, fresh.x, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("padding, carried", [(4, False), (0, True)],
+                             ids=["held-rows", "every-row"])
+    def test_a_root_that_held_rows_hands_on_no_inverse(self, padding, carried, monkeypatch):
+        """max a + b s.t. 2a + 2b <= 3, integers a, b in [0, 10], and
+        `padding` rows a + b <= 20, 21, ...: with four of them the root
+        holds them back, its B^-1 covers only the row that binds, and its
+        children factorise their start."""
+        rows = [([2.0, 2.0], "le", 3.0)] + [([1.0, 1.0], "le", 20.0 + k) for k in range(padding)]
+        mip = _mip([1.0, 1.0], rows, [(0.0, 10.0)] * 2, [VarKind.INTEGER] * 2, "max")
+        restricted = []
+        solve_restricted = linprog._solve_restricted
+        monkeypatch.setattr(linprog, "_solve_restricted",
+                            lambda *args: restricted.append(args) or solve_restricted(*args))
+        calls = _record_node_lps(monkeypatch)
+        out = solve_mip(mip)
+        assert (out.status, out.objective_value) == (Status.OPTIMAL, 1.0)
+        (_, root_out), *children = calls
+        assert len(restricted) == (not carried)
+        assert (root_out.basis_inverse is not None) is carried
+        root_children = [lp for lp, _ in children if lp.basis is root_out.basis]
+        assert root_children
+        assert all((lp.basis_inverse is not None) is carried for lp in root_children)

@@ -156,6 +156,22 @@ class TestSolve:
         assert out.startswith("status: Numerical\n") and "objective" not in out
         assert err == ""  # the overflow is the status, not an input warning
 
+    def test_a_tiny_coefficient_on_an_integer_column_solves(self, tmp_path):
+        # Propagating the branch on R1's y divides its room, about 1e10, by
+        # 1e-300: the cap on x overflows and must leave x's bound alone.
+        path = tmp_path / "tiny.pft.csv"
+        path.write_text(
+            "#PFT v1 dir=max title=tiny coefficient\n"
+            "var,kind,R1,R2,obj,lb,ub\n"
+            "x,I,1e-300,1,1,0,10\n"
+            "y,I,1,2,1.5,0,10\n"
+            "@sense,,le,le,\n"
+            "@rhs,,1e10,27,\n"
+        )
+        code, out, err = _run(["solve", "--pft", str(path), "--deterministic"])
+        assert (code, err) == (0, "")
+        assert out.startswith("status: Optimal\n") and "objective: 22.5\n" in out
+
     def test_report_keeps_12_significant_digits(self, tmp_path):
         path = tmp_path / "large.pft.csv"
         path.write_text("#PFT v1 dir=min title=t\nvar,kind,obj,lb,ub\nx,C,1,1234567.5,\n")

@@ -1,9 +1,12 @@
 """Differential tests: solve_lp and solve_mip against scipy's HiGHS.
 
-Problems are generated by hypothesis from a fixed seed (derandomize) with a
-fixed example budget, so every run checks the same problems.
+Problems are generated by hypothesis from a fixed seed, `@seed(0)` on each
+property test, with a fixed example budget, so every run checks the same
+problems, whatever the wording of a test's source (derandomize alone seeds
+from a digest of it).
 """
 
+import ast
 import itertools
 import math
 import pathlib
@@ -11,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, note, settings
+from hypothesis import given, note, seed, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
@@ -152,6 +155,7 @@ def _assert_same_answer(ours, status, objective):
 
 
 @ORACLE
+@seed(0)
 @given(lps())
 def test_solve_lp_matches_highs(problem):
     lp = _linear_program(*problem)
@@ -159,6 +163,7 @@ def test_solve_lp_matches_highs(problem):
 
 
 @ORACLE
+@seed(0)
 @given(mips())
 def test_solve_mip_matches_highs(problem):
     c, A, senses, b, lo, hi, kinds, direction = problem
@@ -227,6 +232,7 @@ def _resolve_tightened(lp, steps):
 
 
 @ORACLE
+@seed(0)
 @given(tightened_lps())
 def test_warm_resolves_after_a_tightened_bound_match_highs(case):
     problem, steps = case
@@ -331,6 +337,7 @@ def degenerate_lps(draw):
 
 
 @ORACLE
+@seed(0)
 @given(degenerate_lps())
 def test_degenerate_lps_match_highs(problem):
     lp = _linear_program(*problem)
@@ -356,6 +363,7 @@ def scaled_lps(draw):
 
 
 @ORACLE
+@seed(0)
 @given(scaled_lps())
 def test_badly_scaled_lps_match_highs(problems):
     well, badly = problems
@@ -492,6 +500,7 @@ def redundant_row_lps(draw):
 
 
 @ORACLE
+@seed(0)
 @given(redundant_row_lps())
 def test_lps_with_many_redundant_rows_match_highs(problem):
     lp = _linear_program(*problem)
@@ -529,6 +538,7 @@ def _service_lp(n, p, seed):
 
 
 @ORACLE
+@seed(0)
 @given(redundant_row_lps(), st.lists(
     st.tuples(st.integers(0, 7), st.booleans(), st.sampled_from([0.5, 1.0, 2.5, 6.0])),
     min_size=1, max_size=3))
@@ -651,6 +661,7 @@ def propagated_mips(draw):
 
 
 @ORACLE
+@seed(0)
 @given(propagated_mips())
 def test_propagated_mips_match_highs(problem):
     c, A, senses, b, lo, hi, kinds, direction = problem
@@ -671,3 +682,20 @@ def test_held_out_tours_match_highs(seed):
         for variant in (mip, models.force_arc(mip, i0 + 1, j0 + 1)):
             status, objective = _highs_mip(variant.base, [VarKind.INTEGER] * variant.num_vars)
             _assert_same_answer(solve_mip(variant), status, objective)
+
+
+def test_every_property_test_carries_a_seed():
+    """Each `@given` test here has a `@seed(...)`, so its examples do not
+    change when its source is reworded."""
+    tree = ast.parse(pathlib.Path(__file__).read_text())
+    tests = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+    def named(node, name):
+        target = node.func if isinstance(node, ast.Call) else node
+        return isinstance(target, ast.Name) and target.id == name
+
+    properties = [t for t in tests if any(named(d, "given") for d in t.decorator_list)]
+    assert len(properties) == 8
+    unseeded = [t.name for t in properties
+                if not any(named(d, "seed") for d in t.decorator_list)]
+    assert unseeded == []

@@ -332,6 +332,57 @@ class TestDualSimplex:
         assert again.x.tolist() == [0.5, 0.5]
 
 
+class TestHandedOnInverse:
+    """Which solves hand their final basis inverse on, and a solve that
+    starts from one."""
+
+    LP = TestDualSimplex.LP
+
+    def test_an_optimal_solve_hands_on_its_read_only_inverse(self):
+        out = solve_lp(self.LP)
+        inverse = out.basis_inverse
+        assert (out.status, out.iterations, out.inverse_updates) == (Status.OPTIMAL, 1, 1)
+        assert not inverse.flags.writeable
+        np.testing.assert_allclose(inverse, np.linalg.inv(self.LP.working[:, out.basis]))
+
+    @pytest.mark.parametrize("bounds, status", [
+        (([0.0, 0.0], [0.25, 0.25]), Status.INFEASIBLE),
+        (None, Status.OPTIMAL),  # the singular start [0, 0] is solved again
+    ], ids=["infeasible", "solved-again"])
+    def test_a_solve_made_again_or_not_optimal_hands_on_none(self, bounds, status):
+        lp = LinearProgram([1.0, 2.0], A_ub=[[-1.0, -1.0], [-2.0, -2.0]], b_ub=[-1.0, -2.0])
+        lp = lp.with_bounds(lp.lo, lp.hi, [0, 0]) if bounds is None else lp.with_bounds(*bounds)
+        out = solve_lp(lp)
+        assert (out.status, out.basis_inverse, out.inverse_updates) == (status, None, 0)
+
+    def test_a_restricted_solve_hands_on_none(self, monkeypatch):
+        calls = _recorded(monkeypatch, "_solve_restricted")
+        out = solve_lp(TestRowActivation._box_lp([2.0, 3.0, 4.0, 5.0]))
+        assert len(calls) == 1 and out.status is Status.OPTIMAL
+        assert (out.basis_inverse, out.inverse_updates) == (None, 0)
+
+    def test_a_carried_inverse_is_copied_not_factorised(self, monkeypatch):
+        """A child given its parent's inverse pivots on a copy, so the
+        parent's stays as it was, factorises nothing, and counts its updates
+        on from the parent's."""
+        root = solve_lp(self.LP)
+        kept = root.basis_inverse.copy()
+        lo, hi = [0.0, 0.0], [0.5, math.inf]
+        child = self.LP._node(np.array(lo), np.array(hi), root.basis, root.basis_inverse,
+                              root.inverse_updates)
+        inv = np.linalg.inv
+        calls = []
+        monkeypatch.setattr(np.linalg, "inv", lambda M: calls.append(M.shape) or inv(M))
+        out = solve_lp(child)
+        assert not calls and np.array_equal(root.basis_inverse, kept)
+        fresh = solve_lp(self.LP.with_bounds(lo, hi, root.basis))
+        assert len(calls) == 1  # the checked child factorises its start
+        assert (out.status, out.x.tolist(), out.iterations) == (
+            fresh.status, fresh.x.tolist(), fresh.iterations)
+        assert out.inverse_updates == root.inverse_updates + out.iterations
+        assert fresh.inverse_updates == fresh.iterations
+
+
 class TestRowActivation:
     """Which solves hold inequality rows back, and what they return."""
 
@@ -532,7 +583,8 @@ class TestProperties:
         basis, x = np.array([1, 2]), np.array([0.0, 1.0, 1 + 1e-13])
         lo, hi = np.zeros(3), np.full(3, math.inf)
         status, _ = linprog._run_simplex(
-            A, np.array([-1.0, 0.0, 0.0]), lo, hi, basis, x, np.eye(2), SolveLimits(), 0
+            A, np.array([-1.0, 0.0, 0.0]), lo, hi, basis, x, linprog._Inverse(np.eye(2)),
+            SolveLimits(), 0
         )
         assert status is Status.OPTIMAL
         assert basis.tolist() == [0, 2]
@@ -611,7 +663,7 @@ class TestArrayForm:
         narrowed = lp.with_bounds([0.0, 0.5], [1.0, 2.0])
         assert narrowed.lo.tolist() == [0.0, 0.5] and narrowed.hi.tolist() == [1.0, 2.0]
         assert lp.lo.tolist() == [0.0, 0.0] and lp.hi.tolist() == [math.inf, math.inf]
-        for name in ("c", "A_eq", "b_eq", "A_ub", "b_ub"):
+        for name in ("c", "A_eq", "b_eq", "A_ub", "b_ub", "working", "b", "c_min", "logical_hi"):
             assert getattr(narrowed, name) is getattr(lp, name)
         assert solve_lp(narrowed).objective_value == pytest.approx(1.5)
 
@@ -654,10 +706,22 @@ class TestArrayForm:
         assert lp.working.tolist() == expected
         assert lp.with_bounds([0.0, 0.0], [1.0, 1.0]).working is lp.working
 
+    @pytest.mark.parametrize("direction, costs", [("min", [1.0, 2.0]), ("max", [-1.0, -2.0])])
+    def test_a_solve_s_vectors_are_made_with_the_problem(self, direction, costs):
+        """b joins the two row blocks' rhs, c_min is the min-sense cost of
+        every working column, and logical_hi bounds an equality row's
+        logical to 0 and an inequality row's to inf."""
+        lp = _lp([1.0, 2.0], rows=[([1.0, 1.0], "ge", 1.0), ([1.0, -1.0], "eq", 0.0)],
+                 direction=direction)
+        assert lp.b.tolist() == [0.0, -1.0]
+        assert lp.c_min.tolist() == costs + [0.0, 0.0]
+        assert lp.logical_hi.tolist() == [0.0, math.inf]
+
     def test_stored_arrays_are_read_only(self):
         lp = self._lp()
         for problem in (lp, lp.with_bounds([0.0, 0.0], [1.0, 1.0])):
-            for name in ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi", "working"):
+            for name in ("c", "A_eq", "b_eq", "A_ub", "b_ub", "lo", "hi", "working", "b", "c_min",
+                         "logical_hi"):
                 with pytest.raises(ValueError):
                     getattr(problem, name)[...] = 0.0
 
